@@ -27,13 +27,10 @@ type breakdownPoint struct {
 // untraced median Step exceeds half of Q, the overload guard's degrade
 // threshold. That fleet size is breakdown_n. Ungated: it is a reference
 // figure, not a workload.
-func runBreakdown(seed int64, seconds time.Duration, maxChildren int, work string, newFleet func() *fleet) int {
+func runBreakdown(seed int64, seconds time.Duration, work string, newFleet func() *fleet) int {
 	var points []breakdownPoint
 	breakdownN := 0
 	for _, n := range breakdownSizes {
-		if n > maxChildren {
-			break
-		}
 		wl, err := genWorkload("idle-fleet", seed, n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)

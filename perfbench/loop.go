@@ -20,12 +20,18 @@ import (
 )
 
 // setupReps is how many times a run builds the stack and the Runner; the
-// reported set-up time is their median and the last one is measured. A
-// discarded Runner is not released, so later repetitions find the
-// workload already stopped: their NewRunner does the same stop-and-
-// baseline work without competing for the CPUs with running spinners,
-// which would otherwise dominate a sub-millisecond set-up.
-const setupReps = 9
+// reported set-up time is their median and the last one is measured.
+// Every discarded Runner is released and its checkpoint writer closed,
+// and the children get setupGap to resume, so each NewRunner starts from
+// the state the program starts from: every child running or sleeping,
+// none stopped. One set-up takes from 0.3 ms (spin-share) to about 7 ms
+// (idle-fleet), and a moment of host contention moves a single figure by
+// half; many repetitions spread over a second or more keep the median
+// steady.
+const (
+	setupReps = 60
+	setupGap  = 10 * time.Millisecond
+)
 
 // warmup runs the loop unmeasured first, so the first cycles after
 // NewRunner (every child stopped) and lazy set-up are not timed.
@@ -100,9 +106,14 @@ func measure(wl *workload, f *fleet, opts runOpts) (*runResult, error) {
 	progConsumed := make([]time.Duration, len(wl.principals))
 	var lastCycle time.Time
 	measuring := false
+	// cycleEnd tells the share sampler that a cycle completed; a token it
+	// has not taken yet absorbs the next one.
+	cycleEnd := make(chan struct{}, 1)
 	for rep := 0; rep < setupReps; rep++ {
-		if st != nil {
+		if r != nil {
+			r.Release()
 			st.ckw.Close()
+			time.Sleep(setupGap)
 		}
 		var onWrite func(time.Duration, error)
 		if tr := opts.tr; tr != nil {
@@ -137,6 +148,10 @@ func measure(wl *workload, f *fleet, opts runOpts) (*runResult, error) {
 			lastCycle = time.Now()
 			if measuring {
 				res.cycles++
+				select {
+				case cycleEnd <- struct{}{}:
+				default:
+				}
 			}
 		}
 		cfg.OnError = func(e error) { fmt.Fprintln(os.Stderr, "perfbench:", e) }
@@ -236,7 +251,7 @@ func measure(wl *workload, f *fleet, opts runOpts) (*runResult, error) {
 			}
 			measEnd = res.blocks[0].at.Add(opts.seconds)
 			nextBlock = res.blocks[0].at.Add(blockLen)
-			if sampler, err = startShareSampler(wl, f, shareWindow); err != nil {
+			if sampler, err = startShareSampler(wl, f, cycleEnd); err != nil {
 				return nil, err
 			}
 			defer sampler.stop()
@@ -353,9 +368,18 @@ func crossCheck(wl *workload, owner []int, base, end []int64, prog []time.Durati
 	return bad
 }
 
+// shareWindow is the least wall length of one share-reference window. A
+// window is made of whole allocation cycles: it opens at the end of one
+// cycle and closes at the first cycle end at least shareWindow later, so
+// no partial cycle at its edges aliases into the error. That is 3 cycles
+// on idle-fleet (about 4.7 cycles a second) and about 6 on spin-share:
+// short enough that carryover cannot hide a per-cycle overrun.
+const shareWindow = 500 * time.Millisecond
+
 // shareSampler is the share reference: a goroutine off the control loop
 // that reads the busy members of every always-runnable principal from
-// /proc/<pid>/schedstat once per window.
+// /proc/<pid>/schedstat at window edges. The loop only signals cycle ends
+// on cycleEnd; the reads happen on the sampler's goroutine.
 type shareSampler struct {
 	ref    *schedReader
 	idx    map[int]int // principal → index into shares
@@ -367,7 +391,7 @@ type shareSampler struct {
 	worst  []float64
 }
 
-func startShareSampler(wl *workload, f *fleet, window time.Duration) (*shareSampler, error) {
+func startShareSampler(wl *workload, f *fleet, cycleEnd chan struct{}) (*shareSampler, error) {
 	pids, owner := alwaysPIDs(wl, f, true)
 	ref, err := openSched(pids)
 	if err != nil {
@@ -392,19 +416,33 @@ func startShareSampler(wl *workload, f *fleet, window time.Duration) (*shareSamp
 			}
 		}
 	}
-	read(prev)
+	// Called on the loop goroutine between Steps: a token left from before
+	// the window was measured is dropped, and the first window opens at
+	// the next cycle end.
+	select {
+	case <-cycleEnd:
+	default:
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		tk := time.NewTicker(window)
-		defer tk.Stop()
+		var opened time.Time
 		for {
 			select {
 			case <-s.done:
 				return
-			case <-tk.C:
+			case <-cycleEnd:
+			}
+			if !opened.IsZero() && time.Since(opened) < shareWindow {
+				continue
 			}
 			read(cur)
+			first := opened.IsZero()
+			opened = time.Now()
+			if first {
+				prev, cur = cur, prev
+				continue
+			}
 			for i := range cur {
 				consumed[i] = float64(cur[i] - prev[i])
 			}

@@ -71,7 +71,6 @@ func run() (code int) {
 	traced := flag.Int("trace", 0, "0: end-to-end metrics, tracing off; 1: per-layer ledger")
 	spin := flag.String("spin", filepath.Join(".bench_build", "perfbench", "alps-spin"), "alps-spin binary")
 	breakdown := flag.Bool("breakdown", false, "measure the §4.2 breakdown N on idle-fleet (ungated)")
-	maxChildren := flag.Int("max-children", 4000, "largest idle-fleet size --breakdown tries")
 	flag.Parse()
 	if *seconds < 1 || (*traced != 0 && *traced != 1) {
 		fmt.Fprintln(os.Stderr, "perfbench: --seconds must be ≥ 1 and --trace 0 or 1")
@@ -125,7 +124,7 @@ func run() (code int) {
 	}()
 
 	if *breakdown {
-		return runBreakdown(*seed, time.Duration(*seconds)*time.Second, *maxChildren, work, newFleet)
+		return runBreakdown(*seed, time.Duration(*seconds)*time.Second, work, newFleet)
 	}
 	wl, err := genWorkload(*name, *seed, 0)
 	if err != nil {
@@ -282,6 +281,7 @@ func perLayer(t, plain *runResult) map[string]metric {
 		"signal.call_us_p50":              {quantile(l.sigDur, 0.5), "us"},
 		"signal.fail_frac":                {ratio(float64(p.sigFails.Load()), float64(p.sigs.Load())), "ratio"},
 		"signal.calls_per_flip":           {ratio(float64(l.sigs), ev(obs.KindTransition)), "ratio"},
+		"signal.group_frac":               {ratio(float64(p.groupSigs.Load()), float64(p.loopSigs.Load())), "ratio"},
 		"core.self_us_per_q":              {us(l.coreSelf) / q, "us"},
 		"core.measures_per_q":             {ev(obs.KindMeasure) / q, "count"},
 		"core.flips_per_q":                {ev(obs.KindTransition) / q, "count"},
@@ -304,8 +304,10 @@ func perLayer(t, plain *runResult) map[string]metric {
 
 // report prints a run's sample counts and health on stderr.
 func report(w *os.File, label string, r *runResult) {
-	fmt.Fprintf(w, "perfbench: %s run: %d steps over %.2fs, %d cycles, %d share windows, %d sys calls (%d failed), setup reps %v\n",
-		label, len(r.steps), r.wall.Seconds(), r.cycles, len(r.shareErr), r.attempted, r.failed, r.setup)
+	setup := durationsMs(r.setup)
+	fmt.Fprintf(w, "perfbench: %s run: %d steps over %.2fs, %d cycles, %d share windows, %d sys calls (%d failed), %d set-ups: median %.3fms, min %.3fms, max %.3fms\n",
+		label, len(r.steps), r.wall.Seconds(), r.cycles, len(r.shareErr), r.attempted, r.failed,
+		len(setup), quantile(setup, 0.5), quantile(setup, 0), quantile(setup, 1))
 	fmt.Fprintf(w, "perfbench: %s health: %v\n", label, r.health)
 	fmt.Fprintf(w, "perfbench: %s step p99 %.3fms over %d steps\n",
 		label, quantile(durationsMs(r.steps), 0.99), len(r.steps))

@@ -114,6 +114,10 @@ type sysProbe struct {
 	last        []atomic.Uint64
 	usefulReads atomic.Int64
 	seenReads   atomic.Int64
+
+	// Signal calls in measured quanta, traced run only, and how many of
+	// them were kill(-pgid) group signals.
+	loopSigs, groupSigs atomic.Int64
 }
 
 func newSysProbe(tr *tracer, children []child) *sysProbe {
@@ -156,7 +160,7 @@ func (p *sysProbe) ReadStat(pid int) (osproc.Stat, error) {
 	return st, err
 }
 
-func (p *sysProbe) signal(call func(int) error, pid int) error {
+func (p *sysProbe) signal(call func(int) error, pid int, group bool) error {
 	var t0 int64
 	if p.tr != nil {
 		t0 = p.tr.now()
@@ -168,14 +172,20 @@ func (p *sysProbe) signal(call func(int) error, pid int) error {
 	}
 	if p.tr != nil {
 		p.tr.record(spSignal, t0, p.tr.now())
+		if p.tr.q.Load() >= 0 {
+			p.loopSigs.Add(1)
+			if group {
+				p.groupSigs.Add(1)
+			}
+		}
 	}
 	return err
 }
 
-func (p *sysProbe) Stop(pid int) error       { return p.signal(p.Sys.Stop, pid) }
-func (p *sysProbe) Cont(pid int) error       { return p.signal(p.Sys.Cont, pid) }
-func (p *sysProbe) StopGroup(pgid int) error { return p.signal(p.Sys.StopGroup, pgid) }
-func (p *sysProbe) ContGroup(pgid int) error { return p.signal(p.Sys.ContGroup, pgid) }
+func (p *sysProbe) Stop(pid int) error       { return p.signal(p.Sys.Stop, pid, false) }
+func (p *sysProbe) Cont(pid int) error       { return p.signal(p.Sys.Cont, pid, false) }
+func (p *sysProbe) StopGroup(pgid int) error { return p.signal(p.Sys.StopGroup, pgid, true) }
+func (p *sysProbe) ContGroup(pgid int) error { return p.signal(p.Sys.ContGroup, pgid, true) }
 
 func (p *sysProbe) attempted() int64 { return p.reads.Load() + p.sigs.Load() }
 func (p *sysProbe) failed() int64    { return p.readFails.Load() + p.sigFails.Load() }

@@ -40,7 +40,6 @@ type member struct {
 type principal struct {
 	share   int64
 	members []member
-	group   bool // members form their own process group (Task.PGID set)
 	always  bool // always runnable: part of the share reference
 }
 
@@ -49,11 +48,6 @@ type workload struct {
 	name       string
 	principals []principal
 }
-
-// shareWindow is the wall length of one share-reference window: three to
-// six allocation cycles on every workload, short enough that carryover
-// cannot hide a per-cycle overrun.
-const shareWindow = 500 * time.Millisecond
 
 var workloadNames = []string{"idle-fleet", "spin-share", "io-groups"}
 
@@ -111,7 +105,7 @@ func idleFleet(rng *rand.Rand, n int) *workload {
 	return wl
 }
 
-// ioGroups: eight 25-member principals, each its own process group.
+// ioGroups: eight 25-member principals.
 // Four are always runnable (2 spinners + 23 sleepers) at shares 1:2:3:4;
 // four are I/O principals (4 duty-cycled members + 21 sleepers) at
 // shares 1:2:3:4. Shares, member positions, duty phases and the task
@@ -120,7 +114,7 @@ func ioGroups(rng *rand.Rand) *workload {
 	const size = 25
 	wl := &workload{name: "io-groups"}
 	build := func(share int64, busy int, r role, always bool) principal {
-		p := principal{share: share, group: true, always: always, members: make([]member, size)}
+		p := principal{share: share, always: always, members: make([]member, size)}
 		for _, i := range rng.Perm(size)[:busy] {
 			p.members[i].role = r
 			if r == ioMember {
@@ -186,10 +180,13 @@ func (f *fleet) spawn(wl *workload) error {
 					"-burst", ioBurst.String(), "-sleep", ioSleep.String()}
 			}
 			cmd := exec.Command(argv[0], argv[1:]...)
-			cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
-			if p.group {
-				cmd.SysProcAttr.Setpgid = true
-				cmd.SysProcAttr.Pgid = task.PGID // 0 for the first member: it leads
+			// Every principal is its own process group led by its first
+			// member, with Task.PGID set, as `alps spawn` starts them: the
+			// Runner signals it with one kill(-pgid).
+			cmd.SysProcAttr = &syscall.SysProcAttr{
+				Pdeathsig: syscall.SIGKILL,
+				Setpgid:   true,
+				Pgid:      task.PGID, // 0 for the first member: it leads
 			}
 			f.mu.Lock()
 			if f.killed {
@@ -206,7 +203,7 @@ func (f *fleet) spawn(wl *workload) error {
 				return fmt.Errorf("start %s: %w", argv[0], err)
 			}
 			task.PIDs = append(task.PIDs, cmd.Process.Pid)
-			if p.group && task.PGID == 0 {
+			if task.PGID == 0 {
 				task.PGID = cmd.Process.Pid
 			}
 		}

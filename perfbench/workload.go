@@ -143,6 +143,19 @@ func permute(rng *rand.Rand, xs []int64) []int64 {
 	return out
 }
 
+// childNice is the nice value every child runs at, applied by starting
+// it through nice(1), which execs the program in place (same PID, same
+// process group). The controller stays at nice 0, so it runs as soon as
+// its timer fires and is not preempted by a child it has just resumed:
+// the Step times the controller's own work. The paper's 4.4BSD host gave
+// a mostly-sleeping ALPS the same precedence over CPU-bound processes
+// through p_estcpu. At equal nice values a resumed spinner preempts the
+// Step often enough that the Step mean, the Step median on spin-share
+// and the controller CPU spread past the benchmark's bounds from run to
+// run. All children share one nice value, so their relative CPU shares,
+// which ALPS controls, are what they would be at nice 0.
+const childNice = 19
+
 // child is one spawned process.
 type child struct {
 	pid       int
@@ -179,7 +192,7 @@ func (f *fleet) spawn(wl *workload) error {
 				argv = []string{f.self, execAfterFlag, m.delay.String(), f.spin,
 					"-burst", ioBurst.String(), "-sleep", ioSleep.String()}
 			}
-			cmd := exec.Command(argv[0], argv[1:]...)
+			cmd := exec.Command("nice", append([]string{"-n", strconv.Itoa(childNice)}, argv...)...)
 			// Every principal is its own process group led by its first
 			// member, with Task.PGID set, as `alps spawn` starts them: the
 			// Runner signals it with one kill(-pgid).
@@ -200,7 +213,7 @@ func (f *fleet) spawn(wl *workload) error {
 			}
 			f.mu.Unlock()
 			if err != nil {
-				return fmt.Errorf("start %s: %w", argv[0], err)
+				return fmt.Errorf("start nice %s: %w", argv[0], err)
 			}
 			task.PIDs = append(task.PIDs, cmd.Process.Pid)
 			if task.PGID == 0 {

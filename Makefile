@@ -5,12 +5,16 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
+.PHONY: check vet fmt-check build test race short bench alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
 
 check: vet build race
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails when any Go file is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

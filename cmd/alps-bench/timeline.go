@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"alps/internal/core"
+	"alps/internal/metrics"
 	"alps/internal/obs"
 	"alps/internal/trace"
 	"alps/internal/tshist"
@@ -18,15 +19,13 @@ import (
 // runTimeline demonstrates — and gates — the closed observability loop
 // on retained history. A synthetic duty-cycled workload (one task
 // bursting its whole entitlement every dutyPeriod cycles, its peer
-// filling the rest) is audited three ways over the same cycle stream:
+// filling the rest) is audited two ways over the same cycle stream:
 //
 //   - raw:    a fixed window deliberately coprime with the duty period,
 //     so the windowed RMS share-error gauge aliases — it beats between
 //     phase-dependent values while the schedule is perfectly fair.
 //   - ewma:   the same aliased window smoothed by the EWMA-over-windows
 //     estimator (alps_audit_rms_share_error_ewma).
-//   - locked: WindowLock reconstructs the duty period from eligibility
-//     edges and truncates the window to a whole multiple of it.
 //
 // Every cycle each auditor's registry is sampled into a tshist store —
 // the same retained-history path /debug/timeline serves — and the beat
@@ -60,37 +59,25 @@ func runTimeline() error {
 	)
 
 	type rig struct {
-		name string
 		aud  *trace.Auditor
 		hist *tshist.Store
 	}
-	mk := func(name string, cfg trace.AuditorConfig) *rig {
+	mk := func(cfg trace.AuditorConfig) *rig {
 		reg := obs.NewRegistry()
 		aud := trace.NewAuditor(cfg)
 		aud.Register(reg)
-		return &rig{name: name, aud: aud,
-			hist: tshist.New(tshist.Config{Source: reg, Capacity: cycles})}
+		return &rig{aud: aud, hist: tshist.New(tshist.Config{Source: reg, Capacity: cycles})}
 	}
 	rigs := []*rig{
-		mk("raw", trace.AuditorConfig{Window: rawWindow}),
-		mk("ewma", trace.AuditorConfig{Window: rawWindow, EWMAAlpha: ewmaAlpha}),
-		mk("locked", trace.AuditorConfig{Window: rawWindow, WindowLock: true, EWMAAlpha: ewmaAlpha}),
+		mk(trace.AuditorConfig{Window: rawWindow}),                       // raw
+		mk(trace.AuditorConfig{Window: rawWindow, EWMAAlpha: ewmaAlpha}), // ewma
 	}
 
-	// One synthetic cycle: task 1 wakes and burns 2s every dutyPeriod-th
-	// cycle, task 2 duty-cycles every cycle and spreads the same 2s over
-	// the other three. Shares are 1:1 and long-run consumption is equal,
-	// so every nonzero RMS reading is measurement artifact, not unfairness.
+	// One synthetic cycle: task 1 burns 2s every dutyPeriod-th cycle,
+	// task 2 spreads the same 2s over the other three. Shares are 1:1 and
+	// long-run consumption is equal, so every nonzero RMS reading is
+	// measurement artifact, not unfairness.
 	feed := func(a *trace.Auditor, k int) {
-		at := time.Duration(k) * time.Second
-		switch k % dutyPeriod {
-		case 0:
-			a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: true, At: at})
-		case 1:
-			a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: false, At: at})
-		}
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: false, At: at})
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: true, At: at})
 		var c1, c2 time.Duration
 		if k%dutyPeriod == 0 {
 			c1 = 2 * time.Second
@@ -98,8 +85,7 @@ func runTimeline() error {
 			c2 = 2 * time.Second / 3
 		}
 		a.OnCycle(core.CycleRecord{
-			Index:  k,
-			Length: time.Second,
+			Index: k,
 			Tasks: []core.CycleTask{
 				{ID: 1, Share: 1, Consumed: c1},
 				{ID: 2, Share: 1, Consumed: c2},
@@ -117,8 +103,8 @@ func runTimeline() error {
 	}
 
 	// Read the verdict off the retained series, the way a /debug/timeline
-	// consumer would, keeping only the steady-state tail (the EWMA and
-	// the duty estimator need a few periods to settle).
+	// consumer would, keeping only the steady-state tail (the EWMA needs
+	// a few periods to settle).
 	series := func(r *rig, name string) []float64 {
 		vals := tshist.Values(r.hist.SeriesPoints(name, ""))
 		if len(vals) > tail {
@@ -128,11 +114,9 @@ func runTimeline() error {
 	}
 	rawRMS := series(rigs[0], "alps_audit_rms_share_error")
 	ewmaRMS := series(rigs[1], "alps_audit_rms_share_error_ewma")
-	lockedRMS := series(rigs[2], "alps_audit_rms_share_error")
 
-	rawBeat := tshist.BeatRatio(rawRMS)
-	ewmaBeat := tshist.BeatRatio(ewmaRMS)
-	lockedBeat := tshist.BeatRatio(lockedRMS)
+	rawBeat := metrics.BeatRatio(rawRMS)
+	ewmaBeat := metrics.BeatRatio(ewmaRMS)
 	reduction := math.Inf(1)
 	if ewmaBeat > 0 {
 		reduction = rawBeat / ewmaBeat
@@ -182,7 +166,6 @@ func runTimeline() error {
 		RawWindowCycles     int     `json:"raw_window_cycles"`
 		RawBeatRatio        float64 `json:"raw_beat_ratio"`
 		EWMABeatRatio       float64 `json:"ewma_beat_ratio"`
-		LockedBeatRatio     float64 `json:"locked_beat_ratio"`
 		BeatReductionX      float64 `json:"beat_reduction_x"`
 		BeatReduced5x       bool    `json:"beat_reduced_5x"`
 		DetectedBeatPeriod  int     `json:"detected_beat_period_cycles"`
@@ -198,7 +181,6 @@ func runTimeline() error {
 		RawWindowCycles:     rawWindow,
 		RawBeatRatio:        rawBeat,
 		EWMABeatRatio:       ewmaBeat,
-		LockedBeatRatio:     lockedBeat,
 		BeatReductionX:      reduction,
 		BeatReduced5x:       reduction >= 5,
 		DetectedBeatPeriod:  lag,
@@ -214,7 +196,6 @@ func runTimeline() error {
 		cycles, dutyPeriod, rawWindow)
 	fmt.Printf("  raw windowed RMS beat ratio:     %.4f\n", rawBeat)
 	fmt.Printf("  EWMA estimator beat ratio:       %.4f  (%.1fx reduction, gate >= 5x)\n", ewmaBeat, reduction)
-	fmt.Printf("  duty-locked window beat ratio:   %.4f\n", lockedBeat)
 	fmt.Printf("  autocorrelation beat detection:  period %d cycles, corr %.2f (duty period %d)\n",
 		lag, corr, dutyPeriod)
 	fmt.Printf("  history sampler: %d series, %.0f ns/sample = %.4f%% of Q=%v (gate <= 1%%)\n",

@@ -121,12 +121,6 @@ audit and timeline flags:
   -audit-drift F    windowed RMS share error above which the drift trigger
                     fires the flight recorder (default 0.10); retunable
                     live via /admin/config (audit_drift)
-  -audit-ewma A     EWMA-over-windows weight for the smoothed share-error
-                    gauge alps_audit_rms_share_error_ewma (default 0.1;
-                    0 mirrors the raw windowed RMS)
-  -audit-lock       lock the audit window to a whole multiple of the
-                    measured duty-cycle period, so the RMS gauge stops
-                    beating against periodic workloads
   -timeline-every D retained-history sampling cadence: every D, one point
                     per metric series is kept in a bounded ring served at
                     /debug/timeline as JSON (?format=csv for CSV); 0
@@ -170,12 +164,10 @@ type commonOpts struct {
 	shard     *string
 	capacity  *float64
 
-	// Observability tuning: the accuracy auditor's window and estimator
-	// knobs, and the retained-history sampling cadence.
+	// Observability tuning: the accuracy auditor's window and drift
+	// threshold, and the retained-history sampling cadence.
 	auditWindow   *int
 	auditDrift    *float64
-	auditEWMA     *float64
-	auditLock     *bool
 	timelineEvery *time.Duration
 
 	fs *flag.FlagSet // nil when constructed directly (tests)
@@ -197,8 +189,6 @@ func commonFlags(fs *flag.FlagSet) commonOpts {
 
 		auditWindow:   fs.Int("audit-window", 32, "accuracy auditor sliding-window length, in allocation cycles; also settable live via /admin/config"),
 		auditDrift:    fs.Float64("audit-drift", 0.10, "windowed RMS share error above which the drift trigger fires the flight recorder"),
-		auditEWMA:     fs.Float64("audit-ewma", 0.1, "EWMA-over-windows weight for the smoothed share-error gauge (0 mirrors the raw windowed RMS)"),
-		auditLock:     fs.Bool("audit-lock", false, "lock the audit window to a whole multiple of the measured duty-cycle period, suppressing window/duty-cycle aliasing"),
 		timelineEvery: fs.Duration("timeline-every", time.Second, "retained-history sampling cadence for /debug/timeline (0 disables the timeline)"),
 
 		fs: fs,
@@ -252,9 +242,6 @@ func (o commonOpts) validate() error {
 	if o.auditDrift != nil && *o.auditDrift <= 0 {
 		return fmt.Errorf("-audit-drift must be positive, got %v", *o.auditDrift)
 	}
-	if o.auditEWMA != nil && (*o.auditEWMA < 0 || *o.auditEWMA >= 1) {
-		return fmt.Errorf("-audit-ewma must be in [0, 1), got %v (1 would track only the newest window; use a raw gauge for that)", *o.auditEWMA)
-	}
 	if o.timelineEvery != nil && *o.timelineEvery < 0 {
 		return fmt.Errorf("-timeline-every must be zero (timeline off) or positive, got %v", *o.timelineEvery)
 	}
@@ -295,12 +282,6 @@ func (o commonOpts) obsOptions() obsOptions {
 	}
 	if o.auditDrift != nil {
 		op.auditDrift = *o.auditDrift
-	}
-	if o.auditEWMA != nil {
-		op.auditEWMA = *o.auditEWMA
-	}
-	if o.auditLock != nil {
-		op.auditLock = *o.auditLock
 	}
 	if o.timelineEvery != nil {
 		op.timelineEvery = *o.timelineEvery

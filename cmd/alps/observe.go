@@ -67,18 +67,23 @@ type obsStack struct {
 }
 
 // obsOptions parameterizes an obsStack: the -http listen address, the
-// accuracy auditor's window/estimator knobs (-audit-window, -audit-drift,
-// -audit-ewma, -audit-lock) and the retained-history sampling cadence
+// accuracy auditor's window and drift threshold (-audit-window,
+// -audit-drift) and the retained-history sampling cadence
 // (-timeline-every; 0 disables /debug/timeline). Zero audit values fall
 // through to the trace.Auditor defaults.
 type obsOptions struct {
 	addr          string
 	auditWindow   int
 	auditDrift    float64
-	auditEWMA     float64
-	auditLock     bool
 	timelineEvery time.Duration
 }
+
+// auditEWMAAlpha weights the auditor's EWMA-over-windows share-error
+// estimator (alps_audit_rms_share_error_ewma): 0.1 cuts the beat a
+// fixed window strikes against periodic workloads by an order of
+// magnitude (the alps-bench timeline gate) while tracking a real drift
+// within about ten cycles.
+const auditEWMAAlpha = 0.1
 
 func newObsStack(opt obsOptions) *obsStack {
 	st := &obsStack{
@@ -100,8 +105,7 @@ func newObsStack(opt obsOptions) *obsStack {
 	st.aud = trace.NewAuditor(trace.AuditorConfig{
 		Window:         opt.auditWindow,
 		DriftThreshold: opt.auditDrift,
-		EWMAAlpha:      opt.auditEWMA,
-		WindowLock:     opt.auditLock,
+		EWMAAlpha:      auditEWMAAlpha,
 		OnDrift: func(rms float64) {
 			if st.rec.Trigger("share_drift") {
 				errlog.Warn("share-error drift", "rms", fmt.Sprintf("%.3f", rms))

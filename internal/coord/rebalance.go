@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"alps/internal/fleetobs"
+	"alps/internal/metrics"
 )
 
 // The rebalance planner. The coordinator's only lever is each shard's
@@ -141,21 +142,20 @@ func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanRe
 		return 1
 	}
 	actual := make(map[int64]float64)
-	var totalW, totalC float64
 	live := make(map[int64]bool)
+	var ids []int64
 	for _, s := range shards {
 		for p := range s.Shares {
 			if !live[p] {
 				live[p] = true
-				totalW += weightOf(p)
+				ids = append(ids, p)
 			}
 		}
 		for p, c := range s.Consumed {
 			actual[p] += c
-			totalC += c
 		}
 	}
-	if len(live) == 0 {
+	if len(ids) == 0 {
 		return res
 	}
 
@@ -167,28 +167,36 @@ func Plan(cfg PlannerConfig, weights map[int64]int64, shards []ShardLoad) PlanRe
 		}
 		res.Shares[s.Name] = out
 	}
-	if totalC <= 0 || totalW <= 0 {
+	// Measured error over the live principals, in ID order.
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	consumed := make([]float64, len(ids))
+	ws := make([]float64, len(ids))
+	var totalW, totalC float64
+	for i, p := range ids {
+		consumed[i], ws[i] = actual[p], weightOf(p)
+		totalC += consumed[i]
+		totalW += ws[i]
+	}
+	rms, err := metrics.RMSShareError(consumed, ws)
+	if err != nil {
 		return res // idle window: nothing to measure, nothing to move
 	}
+	res.GlobalRMS = rms
+	if rms < cfg.Deadband {
+		return res // converged: hold the distribution steady
+	}
 
-	// Measured error and per-principal raw correction ratio (clamped
-	// per shard below, after the capacity exponent).
-	ratio := make(map[int64]float64, len(live))
-	var sumSq float64
-	for p := range live {
-		t := weightOf(p) / totalW
-		f := actual[p] / totalC
-		rel := (f - t) / t
-		sumSq += rel * rel
+	// Per-principal raw correction ratio (clamped per shard below, after
+	// the capacity exponent).
+	ratio := make(map[int64]float64, len(ids))
+	for i, p := range ids {
+		t := ws[i] / totalW
+		f := consumed[i] / totalC
 		r := cfg.Gain // unserved principal: maximum boost
 		if f > 0 {
 			r = math.Pow(t/f, cfg.Damping)
 		}
 		ratio[p] = r
-	}
-	res.GlobalRMS = math.Sqrt(sumSq / float64(len(live)))
-	if res.GlobalRMS < cfg.Deadband {
-		return res // converged: hold the distribution steady
 	}
 
 	// Capacity-weighted step: each shard's correction is the global

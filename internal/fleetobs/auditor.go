@@ -8,13 +8,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"alps/internal/metrics"
 	"alps/internal/obs"
 )
 
 // DefaultRMSWindow is the number of rebalance rounds the global RMS share
-// error averages over when AuditorConfig leaves RMSWindow zero. One round
-// is a single heartbeat window per shard — noisy; eight rounds smooth
-// per-window jitter without hiding real drift.
+// error averages over. One round is a single heartbeat window per shard —
+// noisy; eight rounds smooth per-window jitter without hiding real drift.
 const DefaultRMSWindow = 8
 
 // DefaultStableStreak is how many consecutive no-change rounds declare
@@ -26,10 +26,9 @@ const DefaultStableStreak = 2
 // that far behind is the degraded-shard gauge's problem, not latency's).
 const trackedCommits = 64
 
-// DefaultEWMAAlpha is the per-round EWMA weight when AuditorConfig
-// leaves EWMAAlpha zero. 0.1 attenuates the short window-vs-duty-cycle
-// beats (period 2-4 rounds) by an order of magnitude while still
-// tracking a real drift within ~10 rounds.
+// DefaultEWMAAlpha is the per-round EWMA weight. 0.1 attenuates the
+// short window-vs-duty-cycle beats (period 2-4 rounds) by an order of
+// magnitude while still tracking a real drift within ~10 rounds.
 const DefaultEWMAAlpha = 0.1
 
 // beatWindow bounds the ring of recent per-round RMS values behind the
@@ -43,22 +42,12 @@ const ewmaTrail = 4
 type AuditorConfig struct {
 	// Now overrides time.Now.
 	Now func() time.Time
-	// RMSWindow is the global-RMS sliding window in rebalance rounds
-	// (DefaultRMSWindow when 0).
-	RMSWindow int
-	// StableStreak is the convergence streak (DefaultStableStreak when 0).
-	StableStreak int
 	// LeaseTTL, when nonzero, marks a shard's gauges stale once its last
 	// heartbeat is older than the TTL, even if no explicit lease expiry
 	// was reported. Stale rows are excluded from the live/degraded counts
 	// and flagged in healthz — a dead shard's last-known gauges must not
 	// keep shaping the fleet picture forever.
 	LeaseTTL time.Duration
-	// EWMAAlpha weights the per-round EWMA share-error estimator
-	// (DefaultEWMAAlpha when 0; negative disables, pinning the EWMA
-	// gauge to the raw windowed RMS). The raw windowed gauge is
-	// untouched either way — the EWMA is a second estimator beside it.
-	EWMAAlpha float64
 }
 
 // Flag bits in a ShardAudit's packed state word.
@@ -168,7 +157,7 @@ type FleetAuditor struct {
 }
 
 // convergence is the round-level state machine: a round that moved
-// shares is a disturbance; StableStreak unchanged rounds after one
+// shares is a disturbance; DefaultStableStreak unchanged rounds after one
 // declare the fleet converged and record how many rounds it took.
 type convergence struct {
 	converged bool
@@ -179,15 +168,6 @@ type convergence struct {
 
 // NewFleetAuditor builds an auditor.
 func NewFleetAuditor(cfg AuditorConfig) *FleetAuditor {
-	if cfg.RMSWindow <= 0 {
-		cfg.RMSWindow = DefaultRMSWindow
-	}
-	if cfg.StableStreak <= 0 {
-		cfg.StableStreak = DefaultStableStreak
-	}
-	if cfg.EWMAAlpha == 0 {
-		cfg.EWMAAlpha = DefaultEWMAAlpha
-	}
 	now := time.Now
 	if cfg.Now != nil {
 		now = cfg.Now
@@ -315,8 +295,8 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	defer f.mu.Unlock()
 	f.weights = weights
 	f.rounds = append(f.rounds, roundRec{consumed: consumed})
-	if len(f.rounds) > f.cfg.RMSWindow {
-		f.rounds = f.rounds[len(f.rounds)-f.cfg.RMSWindow:]
+	if n := len(f.rounds) - DefaultRMSWindow; n > 0 {
+		f.rounds = f.rounds[n:]
 	}
 	f.rms = f.globalRMSLocked()
 
@@ -324,14 +304,10 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	// round (which beats against shard duty cycles), the EWMA that
 	// smooths that beat away, and the ring behind the beat-ratio gauge.
 	f.roundRMS = f.rmsOfLocked(consumed)
-	if a := f.cfg.EWMAAlpha; a > 0 {
-		if !f.ewmaInit {
-			f.ewma, f.ewmaInit = f.roundRMS, true
-		} else {
-			f.ewma = a*f.roundRMS + (1-a)*f.ewma
-		}
+	if !f.ewmaInit {
+		f.ewma, f.ewmaInit = f.roundRMS, true
 	} else {
-		f.ewma, f.ewmaInit = f.rms, true
+		f.ewma = DefaultEWMAAlpha*f.roundRMS + (1-DefaultEWMAAlpha)*f.ewma
 	}
 	f.trail = append(f.trail, f.ewma)
 	if len(f.trail) > ewmaTrail {
@@ -355,17 +331,15 @@ func (f *FleetAuditor) OnRound(consumed map[int64]float64, weights map[int64]flo
 	} else if !c.converged {
 		c.rounds++
 		c.stable++
-		if c.stable >= f.cfg.StableStreak {
+		if c.stable >= DefaultStableStreak {
 			c.converged = true
 			c.last = c.rounds
 		}
 	}
 }
 
-// globalRMSLocked computes §3.1's RMS share error fleet-wide: over the
-// window, each principal's achieved fraction of total consumption vs its
-// fraction of total weight, error normalized by the target. Principals
-// with zero weight or no consumption window are skipped.
+// globalRMSLocked computes §3.1's RMS share error fleet-wide over the
+// window of rounds.
 func (f *FleetAuditor) globalRMSLocked() float64 {
 	if len(f.rounds) == 0 {
 		return 0
@@ -380,43 +354,29 @@ func (f *FleetAuditor) globalRMSLocked() float64 {
 }
 
 // rmsOfLocked computes the fleet RMS share error of one consumption
-// aggregate against the current weight table. Caller holds f.mu.
+// aggregate against the current weight table, over the principals with
+// positive weight only: a principal that left the table (its shard died)
+// drops out of the total too, as membership changes mid-window do in
+// the node auditor. 0 when those principals consumed nothing. Caller
+// holds f.mu.
 func (f *FleetAuditor) rmsOfLocked(sum map[int64]float64) float64 {
-	if len(f.weights) == 0 {
-		return 0
-	}
-	var total float64
-	for _, v := range sum {
-		total += v
-	}
-	if total <= 0 {
-		return 0
-	}
-	var totalW float64
-	for _, w := range f.weights {
-		if w > 0 {
-			totalW += w
-		}
-	}
-	if totalW <= 0 {
-		return 0
-	}
-	var sq float64
-	var n int
+	ids := make([]int64, 0, len(f.weights))
 	for p, w := range f.weights {
-		if w <= 0 {
-			continue
+		if w > 0 {
+			ids = append(ids, p)
 		}
-		target := w / totalW
-		achieved := sum[p] / total
-		e := (achieved - target) / target
-		sq += e * e
-		n++
 	}
-	if n == 0 {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	consumed := make([]float64, len(ids))
+	shares := make([]float64, len(ids))
+	for i, p := range ids {
+		consumed[i], shares[i] = sum[p], f.weights[p]
+	}
+	rms, err := metrics.RMSShareError(consumed, shares)
+	if err != nil {
 		return 0
 	}
-	return math.Sqrt(sq / float64(n))
+	return rms
 }
 
 // stale reports whether a row's gauges are stale: its last beat is
@@ -500,24 +460,7 @@ func (f *FleetAuditor) EWMAShareError() float64 {
 func (f *FleetAuditor) RMSBeatRatio() float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.beatRing) < 2 {
-		return 0
-	}
-	min, max, sum := f.beatRing[0], f.beatRing[0], 0.0
-	for _, v := range f.beatRing {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(f.beatRing))
-	if mean <= 0 {
-		return 0
-	}
-	return (max - min) / mean
+	return metrics.BeatRatio(f.beatRing)
 }
 
 // ConvergenceView is the compact control signal the rebalancer's

@@ -78,17 +78,17 @@ func TestTracerSourceRoundTrip(t *testing.T) {
 
 func TestAuditorGlobalRMS(t *testing.T) {
 	clk := newTestClock()
-	a := NewFleetAuditor(AuditorConfig{Now: clk.Now, RMSWindow: 4})
+	a := NewFleetAuditor(AuditorConfig{Now: clk.Now})
 	weights := map[int64]float64{1: 3, 2: 1}
 	// Perfect proportional consumption: 3:1.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultRMSWindow; i++ {
 		a.OnRound(map[int64]float64{1: 0.3, 2: 0.1}, weights, false)
 	}
 	if rms := a.GlobalRMSShareError(); rms > 1e-9 {
 		t.Fatalf("perfect split should give ~0 RMS, got %g", rms)
 	}
 	// Inverted consumption: principal 2 hogging.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultRMSWindow; i++ {
 		a.OnRound(map[int64]float64{1: 0.1, 2: 0.3}, weights, true)
 	}
 	if rms := a.GlobalRMSShareError(); rms < 0.3 {
@@ -96,8 +96,24 @@ func TestAuditorGlobalRMS(t *testing.T) {
 	}
 }
 
+// TestAuditorDepartedPrincipal: a principal whose shard died leaves the
+// weight table, and its consumption still in the window must leave the
+// windowed RMS with it, or a perfectly fair surviving fleet reads as
+// unfair.
+func TestAuditorDepartedPrincipal(t *testing.T) {
+	a := NewFleetAuditor(AuditorConfig{})
+	a.OnRound(map[int64]float64{1: 1, 2: 1, 3: 2}, map[int64]float64{1: 1, 2: 1, 3: 2}, false)
+	a.OnRound(map[int64]float64{1: 1, 2: 1}, map[int64]float64{1: 1, 2: 1}, false)
+	if r := a.RoundRMSShareError(); r != 0 {
+		t.Errorf("round RMS = %v, want 0", r)
+	}
+	if g := a.GlobalRMSShareError(); g != 0 {
+		t.Errorf("windowed RMS = %v after principal 3 departed, want 0 (survivors split 1:1 exactly)", g)
+	}
+}
+
 func TestAuditorConvergence(t *testing.T) {
-	a := NewFleetAuditor(AuditorConfig{StableStreak: 2})
+	a := NewFleetAuditor(AuditorConfig{})
 	w := map[int64]float64{1: 1}
 	c := map[int64]float64{1: 1}
 	h := a.Health()
@@ -399,7 +415,7 @@ func TestAuditorReplicationView(t *testing.T) {
 // alternating consumption pattern while the EWMA smooths it, the beat
 // gauge reports the wobble, and the convergence view carries all of it.
 func TestAuditorRoundEstimators(t *testing.T) {
-	a := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.1})
+	a := NewFleetAuditor(AuditorConfig{})
 	w := map[int64]float64{1: 1, 2: 1}
 	if v := a.Convergence(); v.Valid {
 		t.Fatal("view valid before any round")
@@ -423,7 +439,7 @@ func TestAuditorRoundEstimators(t *testing.T) {
 	// The EWMA settles to the mean (0.5 every round here, so equal),
 	// but its excursion across the tail must be far below the raw
 	// swing... use a pattern where raw actually swings:
-	b := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.1})
+	b := NewFleetAuditor(AuditorConfig{})
 	var rawTail, ewmaTailVals []float64
 	for i := 0; i < 60; i++ {
 		c := map[int64]float64{1: 0.5, 2: 0.5} // perfect: RMS 0
@@ -456,7 +472,7 @@ func TestAuditorRoundEstimators(t *testing.T) {
 	}
 
 	// A genuinely diverging error trend flips Rising.
-	d := NewFleetAuditor(AuditorConfig{RMSWindow: 2, EWMAAlpha: 0.5})
+	d := NewFleetAuditor(AuditorConfig{})
 	for i := 0; i < 10; i++ {
 		skew := 0.5 + 0.04*float64(i) // drifts further off the 1:1 target
 		d.OnRound(map[int64]float64{1: skew, 2: 1 - skew}, w, false)

@@ -22,6 +22,7 @@ func TestErrEmptyTable(t *testing.T) {
 		{"LinearRegression/one", func() error { _, err := LinearRegression([]float64{1}, []float64{1}); return err }},
 		{"ServiceError", func() error { _, err := ServiceError(nil, nil); return err }},
 		{"ShareErrors", func() error { _, err := ShareErrors(nil, nil); return err }},
+		{"RMSShareError", func() error { _, err := RMSShareError(nil, nil); return err }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -61,6 +62,39 @@ func TestShareErrors(t *testing.T) {
 	}
 	if _, err := ShareErrors([]float64{0, 0}, []float64{1, 1}); err == nil {
 		t.Error("zero total consumption should error")
+	}
+}
+
+// TestRMSShareError pins RMSShareError as the RMS of ShareErrors: 1:3
+// shares with equal consumption give per-task errors 1 and 1/3, so the
+// RMS is sqrt((1 + 1/9)/2), and every ShareErrors rejection carries over.
+func TestRMSShareError(t *testing.T) {
+	got, err := RMSShareError([]float64{5, 5}, []float64{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Sqrt((1 + 1.0/9) / 2); math.Abs(got-want) > 1e-12 {
+		t.Errorf("RMSShareError = %v, want %v", got, want)
+	}
+	if got, _ := RMSShareError([]float64{10, 20, 30}, []float64{1, 2, 3}); got != 0 {
+		t.Errorf("perfect schedule: RMSShareError = %v, want 0", got)
+	}
+	if _, err := RMSShareError([]float64{0, 0}, []float64{1, 1}); err == nil {
+		t.Error("zero total consumption should error")
+	}
+	if _, err := RMSShareError([]float64{1}, []float64{0}); err == nil {
+		t.Error("non-positive share should error")
+	}
+}
+
+func TestBeatRatio(t *testing.T) {
+	if got := BeatRatio([]float64{1, 2, 3}); math.Abs(got-1) > 1e-12 {
+		t.Errorf("BeatRatio(1,2,3) = %v, want (3-1)/2 = 1", got)
+	}
+	for _, xs := range [][]float64{nil, {5}, {0, 0}, {-1, 1}} {
+		if got := BeatRatio(xs); got != 0 {
+			t.Errorf("BeatRatio(%v) = %v, want 0", xs, got)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ func StdDev(xs []float64) (float64, error) {
 // received exactly its entitled fraction; 1 means it was off by its
 // whole entitlement. This is the per-principal statistic behind the
 // alps_share_error_ratio histogram family, and the per-cycle granular
-// form of the paper's §3.1 accuracy metric (RMSRelativeError aggregates
+// form of the paper's §3.1 accuracy metric (RMSShareError aggregates
 // its squares).
 func ShareErrors(consumed []float64, shares []float64) ([]float64, error) {
 	if len(consumed) == 0 {
@@ -97,6 +97,49 @@ func ShareErrors(consumed []float64, shares []float64) ([]float64, error) {
 		out[i] = math.Abs(consumed[i]/total-ideal) / ideal
 	}
 	return out, nil
+}
+
+// RMSShareError returns the root mean square of ShareErrors: the
+// paper's §3.1 accuracy statistic over one consumption window. This is
+// the one definition every share-error view uses (the node auditor,
+// the fleet auditor and the coordinator's rebalance planner). It fails
+// exactly when ShareErrors does: empty input, mismatched lengths, a
+// non-positive share, or a window with no consumption.
+func RMSShareError(consumed, shares []float64) (float64, error) {
+	errs, err := ShareErrors(consumed, shares)
+	if err != nil {
+		return 0, err
+	}
+	var sq float64
+	for _, e := range errs {
+		sq += e * e
+	}
+	return math.Sqrt(sq / float64(len(errs))), nil
+}
+
+// BeatRatio is the steady-state wobble statistic: (max - min) / mean
+// over the samples. 0 for fewer than 2 samples or a non-positive mean.
+// A converged, alias-free estimator holds this near 0; a window beating
+// against a duty cycle pushes it toward (and past) 1.
+func BeatRatio(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	min, max, sum := xs[0], xs[0], 0.0
+	for _, x := range xs {
+		if x < min {
+			min = x
+		}
+		if x > max {
+			max = x
+		}
+		sum += x
+	}
+	mean := sum / float64(len(xs))
+	if mean <= 0 {
+		return 0
+	}
+	return (max - min) / mean
 }
 
 // Line is a fitted line y = Slope·x + Intercept.

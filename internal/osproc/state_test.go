@@ -130,8 +130,8 @@ func TestRestoreDropsVanishedAndReusedPIDs(t *testing.T) {
 	fs.AddProc(FaultProc{PID: 21, Start: 3})
 	st := crashRunner(t, fs)
 
-	fs.Kill(10)          // task 1's only PID: gone
-	fs.Reuse(21, 99)     // task 2 partially survives
+	fs.Kill(10)      // task 1's only PID: gone
+	fs.Reuse(21, 99) // task 2 partially survives
 	logMark := len(fs.Log)
 
 	r2, err := NewRunnerFromState(Config{Sys: fs}, st)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -21,24 +20,10 @@ type AuditorConfig struct {
 	// auditor declares drift and fires OnDrift (default 0.10: shares
 	// delivered 10% off target, twice the paper's worst Table 2 row).
 	DriftThreshold float64
-	// ConvergeThreshold is the per-cycle RMS share error below which a
-	// cycle counts toward convergence (default 0.05, the §3.1 "within
-	// 5% of ideal" criterion).
-	ConvergeThreshold float64
-	// ConvergeStreak is how many consecutive cycles must meet
-	// ConvergeThreshold to declare convergence (default 3).
-	ConvergeStreak int
 	// OnDrift fires once per excursion when the windowed RMS crosses
 	// DriftThreshold (with 20% hysteresis on the way back). It runs on
 	// the control loop; wire it to Recorder.Trigger.
 	OnDrift func(rms float64)
-	// WindowLock locks the effective RMS window to a whole multiple of
-	// the longest measured principal duty-cycle period, killing the beat
-	// a fixed window strikes against SIGSTOP duty cycling (the Gunther
-	// fair-share decay-window aliasing). The period is reconstructed
-	// online from stamped eligibility rising edges. Off (false), the raw
-	// fixed-window path is byte-identical to an auditor without the knob.
-	WindowLock bool
 	// EWMAAlpha enables the EWMA-over-windows estimator exported as
 	// alps_audit_rms_share_error_ewma: each completed cycle folds the
 	// windowed RMS in with weight alpha. 0 disables smoothing (the gauge
@@ -46,9 +31,13 @@ type AuditorConfig struct {
 	EWMAAlpha float64
 }
 
-// dutyEdgeAlpha smooths the per-task eligibility rising-edge intervals
-// that reconstruct each principal's duty-cycle period.
-const dutyEdgeAlpha = 0.3
+// A cycle counts toward convergence when its own RMS share error is
+// below convergeThreshold (the §3.1 "within 5% of ideal" criterion);
+// convergeStreak consecutive such cycles declare convergence.
+const (
+	convergeThreshold = 0.05
+	convergeStreak    = 3
+)
 
 // beatWindow bounds the ring of recent windowed RMS values behind the
 // alps_audit_window_beat_ratio gauge.
@@ -107,21 +96,12 @@ type Auditor struct {
 	workRing []time.Duration
 	workNext int
 
-	// Duty-cycle reconstruction (WindowLock): per-task last eligibility
-	// rising edge and smoothed inter-edge interval, plus a smoothed
-	// cycle length, give the duty period in cycles that the effective
-	// window locks to.
-	dutyLast     map[int64]time.Duration
-	dutyEwma     map[int64]float64 // seconds between rising edges
-	cycleLenEwma float64           // seconds per allocation cycle
-
 	// Windowed results, recomputed at each cycle completion.
-	rms       float64
-	effWindow int // cycles the newest RMS actually covered
-	perTask   map[int64]float64
-	winPot    int64
-	winMeas   int64
-	drifting  bool
+	rms      float64
+	perTask  map[int64]float64
+	winPot   int64
+	winMeas  int64
+	drifting bool
 
 	// EWMA-over-windows estimator and the beat-ratio diagnostic ring of
 	// recent windowed RMS values.
@@ -150,20 +130,12 @@ func NewAuditor(cfg AuditorConfig) *Auditor {
 	if cfg.DriftThreshold <= 0 {
 		cfg.DriftThreshold = 0.10
 	}
-	if cfg.ConvergeThreshold <= 0 {
-		cfg.ConvergeThreshold = 0.05
-	}
-	if cfg.ConvergeStreak <= 0 {
-		cfg.ConvergeStreak = 3
-	}
 	return &Auditor{
 		cfg:             cfg,
 		ring:            make([]cycleSample, cfg.Window),
 		eligible:        make(map[int64]bool),
 		perTask:         make(map[int64]float64),
 		phaseBegan:      make(map[int]time.Duration),
-		dutyLast:        make(map[int64]time.Duration),
-		dutyEwma:        make(map[int64]float64),
 		lastConvergence: -1,
 		registered:      make(map[int64]bool),
 	}
@@ -213,9 +185,6 @@ func (a *Auditor) Observe(e obs.Event) {
 		if e.Eligible && !a.eligible[e.Task] {
 			a.eligible[e.Task] = true
 			a.eligibleCount++
-			if a.cfg.WindowLock {
-				a.dutyEdgeLocked(e.Task, e.At)
-			}
 		} else if !e.Eligible && a.eligible[e.Task] {
 			delete(a.eligible, e.Task)
 			a.eligibleCount--
@@ -225,58 +194,9 @@ func (a *Auditor) Observe(e obs.Event) {
 			delete(a.eligible, e.Task)
 			a.eligibleCount--
 		}
-		delete(a.dutyLast, e.Task)
-		delete(a.dutyEwma, e.Task)
 	case obs.KindReconfig:
 		a.markDisturbanceLocked()
 	}
-}
-
-// dutyEdgeLocked folds one eligibility rising edge into the task's
-// smoothed duty-cycle period. Only stamped events count: the core
-// scheduler leaves At zero, and a zero-to-zero interval would collapse
-// every period to nothing.
-func (a *Auditor) dutyEdgeLocked(task int64, at time.Duration) {
-	if at <= 0 {
-		return
-	}
-	if last, ok := a.dutyLast[task]; ok && at > last {
-		iv := (at - last).Seconds()
-		if prev, ok := a.dutyEwma[task]; ok {
-			a.dutyEwma[task] = dutyEdgeAlpha*iv + (1-dutyEdgeAlpha)*prev
-		} else {
-			a.dutyEwma[task] = iv
-		}
-	}
-	a.dutyLast[task] = at
-}
-
-// dutyPeriodCyclesLocked converts the longest measured duty period into
-// allocation cycles, or 0 when nothing has been measured yet. The
-// longest period wins because the window must cover a whole number of
-// every principal's duty cycles, and shorter periods divide into
-// multiples of themselves anyway once the window rounds to the longest.
-func (a *Auditor) dutyPeriodCyclesLocked() int {
-	if a.cycleLenEwma <= 0 {
-		return 0
-	}
-	var longest float64
-	for _, iv := range a.dutyEwma {
-		if iv > longest {
-			longest = iv
-		}
-	}
-	if longest <= 0 {
-		return 0
-	}
-	p := int(math.Round(longest / a.cycleLenEwma))
-	if p < 1 {
-		p = 1
-	}
-	if p > len(a.ring) {
-		p = len(a.ring)
-	}
-	return p
 }
 
 // OnCycle feeds one completed allocation cycle. Chain it into the
@@ -308,14 +228,6 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 	}
 	a.winPot += s.potential
 	a.winMeas += s.measured
-
-	if a.cfg.WindowLock && rec.Length > 0 {
-		if a.cycleLenEwma <= 0 {
-			a.cycleLenEwma = rec.Length.Seconds()
-		} else {
-			a.cycleLenEwma = dutyEdgeAlpha*rec.Length.Seconds() + (1-dutyEdgeAlpha)*a.cycleLenEwma
-		}
-	}
 
 	a.cycles++
 	a.recomputeLocked(s)
@@ -354,25 +266,17 @@ func (a *Auditor) OnCycle(rec core.CycleRecord) {
 // recomputeLocked refreshes the windowed share errors and the
 // convergence state machine after the newest sample was pushed.
 func (a *Auditor) recomputeLocked(newest cycleSample) {
-	a.recomputeWindowLocked(newest)
+	a.windowErrorsLocked(newest)
 
 	// Convergence judges each cycle on its own: did THIS cycle deliver
 	// shares within the threshold?
-	cycleOK := false
-	if errs, err := metrics.ShareErrors(newest.consumed, newest.shares); err == nil {
-		sq := 0.0
-		for _, e := range errs {
-			sq += e * e
-		}
-		cycleOK = math.Sqrt(sq/float64(len(errs))) < a.cfg.ConvergeThreshold
-	}
-	if cycleOK {
+	if rms, err := metrics.RMSShareError(newest.consumed, newest.shares); err == nil && rms < convergeThreshold {
 		a.streak++
-		if !a.converged && a.streak >= a.cfg.ConvergeStreak {
+		if !a.converged && a.streak >= convergeStreak {
 			a.converged = true
 			// Convergence time: cycles from the disturbance to the
 			// start of the qualifying streak.
-			c := a.cycles - a.disturbedAt - int64(a.cfg.ConvergeStreak)
+			c := a.cycles - a.disturbedAt - convergeStreak
 			if c < 0 {
 				c = 0
 			}
@@ -383,24 +287,8 @@ func (a *Auditor) recomputeLocked(newest cycleSample) {
 	}
 }
 
-// recomputeWindowLocked refreshes the windowed share errors. With
-// WindowLock on, the aggregation truncates to the largest whole
-// multiple of the measured duty-cycle period that fits the filled ring
-// — a window covering whole duty cycles sees every principal's full
-// on/off pattern, so the RMS stops beating against SIGSTOP duty
-// cycling. With the knob off, limit == a.n and the arithmetic is the
-// raw fixed window, bit for bit.
-func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
-	limit := a.n
-	if a.cfg.WindowLock {
-		if p := a.dutyPeriodCyclesLocked(); p > 0 {
-			if eff := (a.n / p) * p; eff > 0 {
-				limit = eff
-			}
-		}
-	}
-	a.effWindow = limit
-
+// windowErrorsLocked refreshes the windowed share errors.
+func (a *Auditor) windowErrorsLocked(newest cycleSample) {
 	// Windowed errors aggregate consumption over the window for the
 	// tasks in the newest cycle (membership changes mid-window drop out
 	// with their cycles).
@@ -409,7 +297,7 @@ func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
 		current[id] = i
 	}
 	consumed := make([]float64, len(newest.ids))
-	for i := 0; i < limit; i++ {
+	for i := 0; i < a.n; i++ {
 		s := a.ring[(a.next-1-i+len(a.ring)+len(a.ring))%len(a.ring)]
 		for j, id := range s.ids {
 			if k, ok := current[id]; ok {
@@ -423,13 +311,12 @@ func (a *Auditor) recomputeWindowLocked(newest cycleSample) {
 		}
 	}
 	if errs, err := metrics.ShareErrors(consumed, newest.shares); err == nil {
-		sq := 0.0
 		for i, e := range errs {
 			a.perTask[newest.ids[i]] = e
 			a.registerTaskLocked(newest.ids[i])
-			sq += e * e
 		}
-		a.rms = math.Sqrt(sq / float64(len(errs)))
+		// Cannot fail: ShareErrors just accepted the same input.
+		a.rms, _ = metrics.RMSShareError(consumed, newest.shares)
 	}
 }
 
@@ -497,7 +384,7 @@ func (a *Auditor) Reconfigure(window int, drift float64) {
 		a.winMeas += nr[i].measured
 	}
 	if keep > 0 {
-		a.recomputeWindowLocked(nr[keep-1])
+		a.windowErrorsLocked(nr[keep-1])
 	}
 }
 
@@ -534,47 +421,7 @@ func (a *Auditor) RMSShareErrorEWMA() float64 {
 func (a *Auditor) WindowBeatRatio() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.beatRing) < 2 {
-		return 0
-	}
-	min, max, sum := a.beatRing[0], a.beatRing[0], 0.0
-	for _, v := range a.beatRing {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		sum += v
-	}
-	mean := sum / float64(len(a.beatRing))
-	if mean <= 0 {
-		return 0
-	}
-	return (max - min) / mean
-}
-
-// EffectiveWindowCycles returns the cycles the newest RMS actually
-// aggregated: the filled ring length, truncated to a whole number of
-// duty-cycle periods when WindowLock is on.
-func (a *Auditor) EffectiveWindowCycles() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.effWindow
-}
-
-// DutyPeriodSeconds returns the longest measured principal duty-cycle
-// period (0 until eligibility edges have been stamped twice).
-func (a *Auditor) DutyPeriodSeconds() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var longest float64
-	for _, iv := range a.dutyEwma {
-		if iv > longest {
-			longest = iv
-		}
-	}
-	return longest
+	return metrics.BeatRatio(a.beatRing)
 }
 
 // ConvergenceCycles returns the last measured convergence time in
@@ -691,12 +538,6 @@ func (a *Auditor) Register(reg *obs.Registry) {
 	reg.GaugeFunc("alps_audit_window_cycles",
 		"Cycles currently in the audit window.",
 		func() float64 { a.mu.Lock(); defer a.mu.Unlock(); return float64(a.n) })
-	reg.GaugeFunc("alps_audit_window_effective_cycles",
-		"Cycles the newest RMS aggregated (duty-locked multiple when WindowLock is on).",
-		func() float64 { return float64(a.EffectiveWindowCycles()) })
-	reg.GaugeFunc("alps_audit_duty_period_seconds",
-		"Longest measured principal duty-cycle period, from stamped eligibility edges.",
-		a.DutyPeriodSeconds)
 	reg.GaugeFunc("alps_audit_drifting",
 		"1 while the windowed RMS share error exceeds the drift threshold.",
 		func() float64 {

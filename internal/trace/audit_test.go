@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"alps/internal/core"
+	"alps/internal/metrics"
 	"alps/internal/obs"
 )
 
@@ -83,16 +84,21 @@ func TestAuditorDriftTrigger(t *testing.T) {
 }
 
 func TestAuditorConvergence(t *testing.T) {
-	a := NewAuditor(AuditorConfig{Window: 8, ConvergeThreshold: 0.05, ConvergeStreak: 2})
+	a := NewAuditor(AuditorConfig{Window: 8})
 	if got := a.ConvergenceCycles(); got != -1 {
 		t.Errorf("ConvergenceCycles before any data = %v, want -1", got)
 	}
 	good := func(i int) core.CycleRecord { return cycleRec(i, 10*time.Millisecond, 20*time.Millisecond, 1, 2) }
 	bad := func(i int) core.CycleRecord { return cycleRec(i, 25*time.Millisecond, 5*time.Millisecond, 1, 2) }
 
-	// Converges immediately: two good cycles, zero cycles of settling.
+	// Converges immediately: three good cycles (the streak), zero
+	// cycles of settling.
 	a.OnCycle(good(0))
 	a.OnCycle(good(1))
+	if got := a.ConvergenceCycles(); got != -1 {
+		t.Errorf("ConvergenceCycles after two good cycles = %v, want -1 (streak is 3)", got)
+	}
+	a.OnCycle(good(2))
 	if got := a.ConvergenceCycles(); got != 0 {
 		t.Errorf("ConvergenceCycles = %v, want 0 (converged from the first cycle)", got)
 	}
@@ -102,10 +108,11 @@ func TestAuditorConvergence(t *testing.T) {
 	if got := a.ConvergenceCycles(); got != -1 {
 		t.Errorf("ConvergenceCycles after disturbance = %v, want -1", got)
 	}
-	// One bad settling cycle, then two good ones: convergence time 1.
-	a.OnCycle(bad(2))
-	a.OnCycle(good(3))
+	// One bad settling cycle, then three good ones: convergence time 1.
+	a.OnCycle(bad(3))
 	a.OnCycle(good(4))
+	a.OnCycle(good(5))
+	a.OnCycle(good(6))
 	if got := a.ConvergenceCycles(); got != 1 {
 		t.Errorf("ConvergenceCycles = %v, want 1 (one settling cycle)", got)
 	}
@@ -151,10 +158,11 @@ func TestAuditorSamplingRatio(t *testing.T) {
 
 func TestAuditorRegister(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewAuditor(AuditorConfig{Window: 2, ConvergeStreak: 2})
+	a := NewAuditor(AuditorConfig{Window: 2})
 	a.Register(reg)
-	a.OnCycle(cycleRec(0, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
-	a.OnCycle(cycleRec(1, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
+	for i := 0; i < 3; i++ { // one convergence streak
+		a.OnCycle(cycleRec(i, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
+	}
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -251,96 +259,51 @@ func TestAuditorDeadTaskDropsFromWindow(t *testing.T) {
 	}
 }
 
-// dutyRec builds a two-task CycleRecord with an explicit nominal cycle
-// length (the window-lock tests need Length to convert duty periods
-// into cycles).
-func dutyRec(index int, length time.Duration, c1, c2 time.Duration) core.CycleRecord {
-	return core.CycleRecord{
-		Index:  index,
-		Length: length,
-		Tasks: []core.CycleTask{
-			{ID: 1, Share: 1, Consumed: c1},
-			{ID: 2, Share: 1, Consumed: c2},
-		},
-	}
-}
-
 // feedDutyCycle drives one allocation cycle of the synthetic period-4
 // duty pattern into an auditor: task 1 bursts its whole 2s budget every
 // fourth cycle, task 2 spreads 2s evenly across the other three. Over
 // any aligned 4-cycle span the 1:1 shares are delivered exactly; over a
 // misaligned fixed window the measured RMS beats with period 4.
 func feedDutyCycle(a *Auditor, k int) {
-	at := time.Duration(k) * time.Second
-	switch k % 4 {
-	case 0: // burst cycle: task 1 wakes (rising edge)
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: true, At: at})
-	case 1:
-		a.Observe(obs.Event{Kind: obs.KindTransition, Task: 1, Eligible: false, At: at})
-	}
-	// Task 2 duty-cycles every cycle: falling then rising edge.
-	a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: false, At: at})
-	a.Observe(obs.Event{Kind: obs.KindTransition, Task: 2, Eligible: true, At: at})
 	var c1, c2 time.Duration
 	if k%4 == 0 {
 		c1 = 2 * time.Second
 	} else {
 		c2 = 2 * time.Second / 3
 	}
-	a.OnCycle(dutyRec(k, time.Second, c1, c2))
+	a.OnCycle(cycleRec(k, c1, c2, 1, 1))
 }
 
-// TestAuditorWindowLockKillsAliasing is the tentpole's unit-level
-// proof: the same period-4 duty pattern makes a raw 5-cycle window's
-// RMS oscillate (the Gunther decay-window beat) while the duty-locked
-// window, truncated to 4 cycles from the measured eligibility edges,
-// reads a constant 0. The raw auditor also pins the knobs-off contract:
-// the EWMA gauge mirrors the raw RMS exactly when EWMAAlpha is 0.
-func TestAuditorWindowLockKillsAliasing(t *testing.T) {
+// TestAuditorWindowAliasing pins the beat the EWMA estimator exists
+// for: the period-4 duty pattern makes a raw 5-cycle window's RMS
+// oscillate (the Gunther decay-window beat) although the schedule is
+// fair, and the EWMA over the same windows cuts the beat ratio at least
+// 5x. With EWMAAlpha 0 the EWMA gauge mirrors the raw RMS exactly.
+func TestAuditorWindowAliasing(t *testing.T) {
 	raw := NewAuditor(AuditorConfig{Window: 5})
-	locked := NewAuditor(AuditorConfig{Window: 5, WindowLock: true})
+	smooth := NewAuditor(AuditorConfig{Window: 5, EWMAAlpha: 0.1})
 
-	var rawVals, lockVals []float64
-	for k := 0; k < 40; k++ {
+	var rawVals, ewmaVals []float64
+	for k := 0; k < 100; k++ {
 		feedDutyCycle(raw, k)
-		feedDutyCycle(locked, k)
+		feedDutyCycle(smooth, k)
 		if got, want := raw.RMSShareErrorEWMA(), raw.RMSShareError(); got != want {
-			t.Fatalf("cycle %d: knobs-off EWMA gauge %v != raw RMS %v", k, got, want)
+			t.Fatalf("cycle %d: EWMAAlpha 0 gauge %v != raw RMS %v", k, got, want)
 		}
-		if k >= 12 { // past window fill and duty-period estimation
+		if k >= 50 { // past the EWMA transient
 			rawVals = append(rawVals, raw.RMSShareError())
-			lockVals = append(lockVals, locked.RMSShareError())
+			ewmaVals = append(ewmaVals, smooth.RMSShareErrorEWMA())
 		}
 	}
-
-	min, max := rawVals[0], rawVals[0]
-	for _, v := range rawVals {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
+	rb, eb := metrics.BeatRatio(rawVals), metrics.BeatRatio(ewmaVals)
+	if rb < 0.5 {
+		t.Fatalf("raw window shows no beat: beat ratio %v", rb)
 	}
-	if max-min < 0.1 {
-		t.Fatalf("raw window shows no beat: RMS range [%v, %v]", min, max)
+	if eb > rb/5 {
+		t.Errorf("EWMA beat ratio %v not >=5x below raw %v", eb, rb)
 	}
-	for _, v := range lockVals {
-		if v > 1e-9 {
-			t.Fatalf("duty-locked window still beats: RMS %v, want 0", v)
-		}
-	}
-	if got := locked.EffectiveWindowCycles(); got != 4 {
-		t.Errorf("EffectiveWindowCycles = %d, want 4 (one duty period)", got)
-	}
-	if got := raw.EffectiveWindowCycles(); got != 5 {
-		t.Errorf("raw EffectiveWindowCycles = %d, want 5 (the full window)", got)
-	}
-	if got := locked.DutyPeriodSeconds(); math.Abs(got-4) > 0.01 {
-		t.Errorf("DutyPeriodSeconds = %v, want ~4", got)
-	}
-	if rb, lb := raw.WindowBeatRatio(), locked.WindowBeatRatio(); lb > rb/5 {
-		t.Errorf("beat ratio not reduced >=5x: raw %v, locked %v", rb, lb)
+	if got := raw.WindowBeatRatio(); got < 0.5 {
+		t.Errorf("WindowBeatRatio = %v, want the raw beat", got)
 	}
 }
 
@@ -412,8 +375,10 @@ func TestAuditorReconfigure(t *testing.T) {
 		t.Errorf("Thresholds after grow = (%d, %v), want (6, 0.42)", w, d)
 	}
 	a.OnCycle(cycleRec(4, 10*time.Millisecond, 30*time.Millisecond, 1, 3))
-	if got := a.EffectiveWindowCycles(); got != 3 {
-		t.Errorf("window after grow+1 cycle = %d cycles, want 3 (2 kept + 1 new)", got)
+	// Window of 3 = 2 kept skewed + 1 new perfect cycle: consumption
+	// 50ms:70ms against 1:3 shares gives errors 2/3 and 2/9.
+	if got, want := a.RMSShareError(), math.Sqrt((4.0/9+4.0/81)/2); math.Abs(got-want) > 1e-9 {
+		t.Errorf("RMS after grow+1 cycle = %v, want %v (2 kept + 1 new cycles)", got, want)
 	}
 
 	// The lowered threshold drives the drift hysteresis: fill the window
@@ -433,11 +398,11 @@ func TestAuditorReconfigure(t *testing.T) {
 	}
 }
 
-// TestAuditorAliasGaugesRegistered: the new estimator gauges appear on
-// the registry.
+// TestAuditorAliasGaugesRegistered: the estimator gauges appear on the
+// registry.
 func TestAuditorAliasGaugesRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
-	a := NewAuditor(AuditorConfig{Window: 2, EWMAAlpha: 0.2, WindowLock: true})
+	a := NewAuditor(AuditorConfig{Window: 2, EWMAAlpha: 0.2})
 	a.Register(reg)
 	a.OnCycle(cycleRec(0, 10*time.Millisecond, 20*time.Millisecond, 1, 2))
 	var sb strings.Builder
@@ -448,8 +413,6 @@ func TestAuditorAliasGaugesRegistered(t *testing.T) {
 	for _, want := range []string{
 		"alps_audit_rms_share_error_ewma",
 		"alps_audit_window_beat_ratio",
-		"alps_audit_window_effective_cycles 1",
-		"alps_audit_duty_period_seconds",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt-check build test race short bench alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
+.PHONY: check vet fmt-check build perfbench-build test race short bench alloc-gate timeline trace trace-fleet chaos chaos-fleet chaos-failover vulncheck
 
 check: vet build race
 
@@ -18,6 +18,11 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# perfbench/ is its own module (the real-OS benchmark), so the root
+# build never compiles it; this vets and builds it against the tree.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -54,9 +59,10 @@ bench:
 # Fast alloc-regression gate: the in-tree half of the scale benchmark's
 # allocs_per_quantum check. Runs without -race (race instrumentation
 # allocates on the hot path) and fails the moment a steady-state quantum
-# of the indexed loop heap-allocates at all.
+# of the indexed loop heap-allocates at all, or a real /proc stat read
+# through RealSys allocates more than its Comm string.
 alloc-gate:
-	$(GO) test -run TestSteadyStateZeroAllocs -count=1 ./internal/osproc/
+	$(GO) test -run 'TestSteadyStateZeroAllocs|TestRealReadStatAllocs' -count=1 ./internal/osproc/
 
 # Timeline smoke: retained-history closed-loop gates. A synthetic
 # duty-cycled workload aliases a deliberately mismatched audit window;

@@ -6,6 +6,7 @@
 package osproc
 
 import (
+	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -63,5 +64,31 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if med := samples[len(samples)/2]; med != 0 {
 		t.Errorf("steady-state quantum allocates: median %.0f allocs/Step (p90 %.0f) over %d steps, want 0",
 			med, samples[len(samples)*9/10], measure)
+	}
+}
+
+// TestRealReadStatAllocs is the real-host half of the alloc gate: the
+// FaultSys gate above cannot see /proc reads. After the first read opens
+// and holds the stat file, a RealSys read of a live PID may allocate only
+// its Comm string.
+func TestRealReadStatAllocs(t *testing.T) {
+	requireProc(t)
+	pid := os.Getpid()
+	if _, err := (RealSys{}).ReadStat(pid); err != nil {
+		t.Fatal(err)
+	}
+	defer RealSys{}.Forget(pid)
+	if !holdsStat(pid) {
+		t.Fatalf("pid %d: stat file not held after the first read", pid)
+	}
+	var readErr error
+	allocs := testing.AllocsPerRun(200, func() {
+		_, readErr = RealSys{}.ReadStat(pid)
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if allocs > 1 {
+		t.Errorf("RealSys.ReadStat allocates %.1f times per read, want at most 1 (Comm)", allocs)
 	}
 }

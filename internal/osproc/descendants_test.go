@@ -104,7 +104,7 @@ func TestDescendantsReal(t *testing.T) {
 }
 
 func TestParseStatPPID(t *testing.T) {
-	st, err := parseStat(7, statLine(7, 42, 5, "R"))
+	st, err := parseStat(7, []byte(statLine(7, 42, 5, "R")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,6 +87,11 @@ type FaultSys struct {
 	procs  map[int]*FaultProc
 	faults map[faultKey][]FaultKind
 
+	// held mirrors RealSys's table of open stat files: a successful
+	// ReadStat adds the PID, a read that finds it gone removes it, and
+	// Forget removes it. Tests assert the runner never leaks an entry.
+	held map[int]bool
+
 	// SlowDelay is how far FaultSlow advances the clock (default 0:
 	// set it before scheduling FaultSlow).
 	SlowDelay time.Duration
@@ -138,6 +143,7 @@ func NewFaultSys() *FaultSys {
 		base:   time.Unix(1_000_000_000, 0),
 		procs:  make(map[int]*FaultProc),
 		faults: make(map[faultKey][]FaultKind),
+		held:   make(map[int]bool),
 	}
 }
 
@@ -339,6 +345,7 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 		switch kind {
 		case FaultESRCH:
 			f.logf("read %d: ESRCH", pid)
+			delete(f.held, pid)
 			return Stat{}, syscall.ESRCH
 		case FaultEPERM:
 			f.logf("read %d: EPERM", pid)
@@ -348,6 +355,7 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 			return Stat{}, syscall.EINTR
 		case FaultZombie:
 			f.logf("read %d: zombie", pid)
+			f.held[pid] = true
 			return Stat{PID: pid, Comm: "fake", State: 'Z'}, nil
 		case FaultSlow:
 			f.logf("read %d: slow %v", pid, f.SlowDelay)
@@ -357,16 +365,38 @@ func (f *FaultSys) ReadStat(pid int) (Stat, error) {
 	p, ok := f.procs[pid]
 	if !ok {
 		f.logf("read %d: gone", pid)
+		delete(f.held, pid)
 		return Stat{}, syscall.ESRCH
 	}
 	if !f.Quiet {
 		f.logf("read %d", pid)
 	}
+	f.held[pid] = true
 	state := p.State
 	if p.stopped {
 		state = 'T'
 	}
 	return Stat{PID: pid, Comm: "fake", State: state, CPU: p.CPU, Start: p.Start}, nil
+}
+
+// Forget implements Sys: it releases the PID's held entry.
+func (f *FaultSys) Forget(pid int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.held, pid)
+}
+
+// HeldPIDs returns, in ascending order, the PIDs whose stat RealSys would
+// still hold open: read successfully and not since forgotten or found gone.
+func (f *FaultSys) HeldPIDs() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]int, 0, len(f.held))
+	for pid := range f.held {
+		out = append(out, pid)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Stop implements Sys.

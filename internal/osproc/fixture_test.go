@@ -68,11 +68,19 @@ func TestReadStatFixtureMissing(t *testing.T) {
 	}
 }
 
-// newFixtureRunner builds a Runner over the real procfs reader (pointed
-// at the fixture tree) without spawning or signalling anything.
+// oneShotSys is RealSys with the one-shot ReadStat. The fixtures model
+// process death by deleting the stat file, which a held descriptor on a
+// regular filesystem cannot see (procfs fails the held read with ESRCH
+// instead), so fixture runners must reopen on every read.
+type oneShotSys struct{ RealSys }
+
+func (oneShotSys) ReadStat(pid int) (Stat, error) { return ReadStat(pid) }
+
+// newFixtureRunner builds a Runner over the procfs reader (pointed at the
+// fixture tree) without spawning or signalling anything.
 func newFixtureRunner(targets map[core.TaskID][]int) *Runner {
 	return &Runner{
-		sys:       RealSys{},
+		sys:       oneShotSys{},
 		targets:   targets,
 		known:     make(map[int]pidState),
 		badSig:    make(map[int]int),

@@ -18,10 +18,14 @@
 package osproc
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
-	"strings"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -60,55 +64,252 @@ type Stat struct {
 // put it there.
 func (s Stat) Blocked() bool { return s.State == 'S' || s.State == 'D' }
 
-// ReadStat parses /proc/<pid>/stat.
+// ReadStat parses /proc/<pid>/stat with a one-shot open, read and close.
+// It holds no descriptor, which suits /proc scans (Descendants) and
+// callers outside the control loop; RealSys.ReadStat is the loop's
+// reader and keeps the file open between samples.
 func ReadStat(pid int) (Stat, error) {
-	raw, err := os.ReadFile(fmt.Sprintf("%s/%d/stat", procRoot, pid))
+	f, err := os.Open(statPath(pid))
 	if err != nil {
 		return Stat{}, err
 	}
-	return parseStat(pid, string(raw))
+	defer f.Close()
+	return preadStat(f, pid)
 }
 
-// parseStat handles the comm field's embedded spaces/parentheses by
-// anchoring on the last ')'.
-func parseStat(pid int, raw string) (Stat, error) {
-	close := strings.LastIndexByte(raw, ')')
-	open := strings.IndexByte(raw, '(')
+func statPath(pid int) string { return procRoot + "/" + strconv.Itoa(pid) + "/stat" }
+
+// statBufSize bounds one stat line. A Linux line has 52 fields of at most
+// 20 digits each plus a comm of at most 64 bytes, about 1.2 KiB at worst.
+const statBufSize = 2048
+
+// statBufs recycles read buffers: a buffer handed to ReadAt escapes, so
+// a stack array would cost one heap allocation per read.
+var statBufs = sync.Pool{New: func() any { return new([statBufSize]byte) }}
+
+// preadStat reads f from offset 0 with ReadAt (pread, so concurrent
+// readers of one file need no shared position) and parses it in place.
+func preadStat(f *os.File, pid int) (Stat, error) {
+	buf := statBufs.Get().(*[statBufSize]byte)
+	defer statBufs.Put(buf)
+	n, err := f.ReadAt(buf[:], 0)
+	switch {
+	case err == nil:
+		// ReadAt filled the buffer without reaching EOF.
+		return Stat{}, fmt.Errorf("osproc: stat for pid %d exceeds %d bytes", pid, statBufSize)
+	case err != io.EOF:
+		return Stat{}, err
+	}
+	return parseStat(pid, buf[:n])
+}
+
+// maxCPUTicks keeps utime+stime, converted to a Duration, from overflowing.
+const maxCPUTicks = uint64(math.MaxInt64 / int64(ClockTick))
+
+// parseStat parses one stat line without copying it: it anchors on the
+// last ')' because comm may contain spaces and parentheses, and allocates
+// only Comm. The leading PID field must name pid, so a descriptor mix-up
+// surfaces as an error rather than as another process's CPU.
+func parseStat(pid int, raw []byte) (Stat, error) {
+	open := bytes.IndexByte(raw, '(')
+	close := bytes.LastIndexByte(raw, ')')
 	if close < 0 || open < 0 || close < open {
 		return Stat{}, fmt.Errorf("osproc: malformed stat for pid %d", pid)
 	}
-	st := Stat{PID: pid, Comm: raw[open+1 : close]}
-	rest := strings.Fields(raw[close+1:])
-	// rest[0] is field 3 (state), rest[1] field 4 (ppid); utime and
-	// stime are fields 14 and 15, i.e. rest[11] and rest[12].
-	if len(rest) < 13 || len(rest[0]) == 0 {
+	if got, ok := parseDecimal(bytes.TrimSpace(raw[:open])); !ok || got != uint64(pid) {
+		return Stat{}, fmt.Errorf("osproc: stat read for pid %d names pid %q", pid, bytes.TrimSpace(raw[:open]))
+	}
+	st := Stat{PID: pid, Comm: string(raw[open+1 : close])}
+	// Field k of the line (1-based) is field k-3 after the comm: state is
+	// field 3, ppid 4, utime 14, stime 15 and starttime 22.
+	var ut, stt uint64
+	rest := raw[close+1:]
+	i := 0
+	for ; i <= 19; i++ {
+		var f []byte
+		if f, rest = nextField(rest); f == nil {
+			break
+		}
+		var ok bool
+		switch i {
+		case 0:
+			st.State, ok = f[0], true
+		case 1:
+			var ppid uint64
+			ppid, ok = parseDecimal(f)
+			st.PPID = int(ppid)
+		case 11:
+			ut, ok = parseDecimal(f)
+		case 12:
+			stt, ok = parseDecimal(f)
+			ok = ok && ut <= maxCPUTicks && stt <= maxCPUTicks-ut
+		case 19:
+			st.Start, ok = parseDecimal(f)
+		default:
+			ok = true
+		}
+		if !ok {
+			return Stat{}, fmt.Errorf("osproc: bad stat field %d %q for pid %d", i+3, f, pid)
+		}
+	}
+	// Real kernels always emit 52 fields; tolerate short fixture lines
+	// that stop after stime by leaving Start zero.
+	if i < 13 {
 		return Stat{}, fmt.Errorf("osproc: short stat for pid %d", pid)
 	}
-	st.State = rest[0][0]
-	ppid, err := strconv.Atoi(rest[1])
-	if err != nil {
-		return Stat{}, fmt.Errorf("osproc: bad ppid for pid %d: %w", pid, err)
-	}
-	st.PPID = ppid
-	ut, err := strconv.ParseUint(rest[11], 10, 64)
-	if err != nil {
-		return Stat{}, fmt.Errorf("osproc: bad utime for pid %d: %w", pid, err)
-	}
-	stt, err := strconv.ParseUint(rest[12], 10, 64)
-	if err != nil {
-		return Stat{}, fmt.Errorf("osproc: bad stime for pid %d: %w", pid, err)
-	}
 	st.CPU = time.Duration(ut+stt) * ClockTick
-	// starttime is field 22 (rest[19]); real kernels always emit ≥ 44
-	// fields, but tolerate short fixture lines by leaving Start zero.
-	if len(rest) >= 20 {
-		start, err := strconv.ParseUint(rest[19], 10, 64)
-		if err != nil {
-			return Stat{}, fmt.Errorf("osproc: bad starttime for pid %d: %w", pid, err)
-		}
-		st.Start = start
-	}
 	return st, nil
+}
+
+// nextField splits the first whitespace-separated field off b; it returns
+// a nil field when b holds no more fields.
+func nextField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && isSpace(b[i]) {
+		i++
+	}
+	j := i
+	for j < len(b) && !isSpace(b[j]) {
+		j++
+	}
+	if i == j {
+		return nil, nil
+	}
+	return b[i:j], b[j:]
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// parseDecimal parses an unsigned decimal; it rejects empty input, any
+// non-digit, and overflow.
+func parseDecimal(b []byte) (uint64, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	var v uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := uint64(c - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
+}
+
+// statFiles is the process-wide table of open /proc/<pid>/stat files
+// behind RealSys.ReadStat, so the zero RealSys carries it. It is a cache:
+// a missing entry costs one open, and no decision depends on what it
+// holds. The mutex covers lookup, insert and delete, never a read. Entries
+// are *os.File rather than raw descriptors because os.File counts
+// references to its descriptor: a read racing Forget's Close fails with
+// os.ErrClosed (transient, so the retry reopens) instead of reading
+// whatever file reused the number.
+//
+// A held file stays bound to the process it was opened on. Once that
+// process is reaped its reads fail ESRCH, and ReadStat drops the entry, so
+// a recycled PID is never read through a stale file.
+var statFiles = struct {
+	sync.Mutex
+	m map[int]*os.File
+}{m: make(map[int]*os.File)}
+
+// statFileCap bounds statFiles at half the soft RLIMIT_NOFILE, read once
+// at start-up, leaving the other half to the rest of the process. Reads
+// past the cap open, read and close.
+var statFileCap = nofileBudget()
+
+func nofileBudget() int {
+	var rl syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {
+		return 0
+	}
+	return int(min(rl.Cur/2, math.MaxInt32))
+}
+
+// readHeldStat is RealSys.ReadStat: one pread on the PID's held file,
+// opening (and, within the cap, holding) it on first use.
+func readHeldStat(pid int) (Stat, error) {
+	statFiles.Lock()
+	f := statFiles.m[pid]
+	statFiles.Unlock()
+	if f != nil {
+		st, err := preadStat(f, pid)
+		if err != nil {
+			dropStatFile(pid, f)
+		}
+		return st, err
+	}
+	path := statPath(pid)
+	f, err := os.Open(path)
+	starved := errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE)
+	if starved && evictStatFile() {
+		// Out of descriptors: give one held file back and read this PID
+		// one-shot, so descriptor pressure costs opens, never a charge.
+		f, err = os.Open(path)
+	}
+	if err != nil {
+		return Stat{}, err
+	}
+	st, err := preadStat(f, pid)
+	held := false
+	if err == nil && !starved {
+		statFiles.Lock()
+		if _, dup := statFiles.m[pid]; !dup && len(statFiles.m) < statFileCap {
+			statFiles.m[pid] = f
+			held = true
+		}
+		statFiles.Unlock()
+	}
+	if !held {
+		f.Close()
+	}
+	return st, err
+}
+
+// dropStatFile removes pid's entry if it is still f, and closes f. Any
+// read error drops the entry: ESRCH means the process was reaped, and
+// anything else is cheaper to retry on a fresh open.
+func dropStatFile(pid int, f *os.File) {
+	statFiles.Lock()
+	if statFiles.m[pid] == f {
+		delete(statFiles.m, pid)
+	}
+	statFiles.Unlock()
+	f.Close()
+}
+
+// forgetStatFile closes pid's held file, if any.
+func forgetStatFile(pid int) {
+	statFiles.Lock()
+	f, ok := statFiles.m[pid]
+	delete(statFiles.m, pid)
+	statFiles.Unlock()
+	if ok {
+		f.Close()
+	}
+}
+
+// evictStatFile closes one held file, reporting whether there was one.
+func evictStatFile() bool {
+	statFiles.Lock()
+	var f *os.File
+	for pid, g := range statFiles.m {
+		f = g
+		delete(statFiles.m, pid)
+		break
+	}
+	statFiles.Unlock()
+	if f == nil {
+		return false
+	}
+	f.Close()
+	return true
 }
 
 // Descendants returns root plus every live process whose ancestry chain

@@ -11,7 +11,7 @@ func TestParseStat(t *testing.T) {
 	// A representative Linux stat line: pid 123, comm "cat", state R,
 	// utime 15 stime 7 (fields 14 and 15).
 	raw := "123 (cat) R 1 123 123 0 -1 4194304 100 0 0 0 15 7 0 0 20 0 1 0 100 1000000 100 18446744073709551615 0 0 0 0 0 0 0 0 0 0 0 0 17 0 0 0 0 0 0"
-	st, err := parseStat(123, raw)
+	st, err := parseStat(123, []byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestParseStat(t *testing.T) {
 // must anchor on the last ')'.
 func TestParseStatEvilComm(t *testing.T) {
 	raw := "42 (my (evil) proc) S 1 42 42 0 -1 0 0 0 0 0 3 4 0 0 20 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
-	st, err := parseStat(42, raw)
+	st, err := parseStat(42, []byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestParseStatMalformed(t *testing.T) {
 		"123 (cat) R 1 123 123 0 -1 4194304 100 0 0 0 x 7 0 0 20 0 1 0 0 0 0 0",
 		"123 (cat) R 1 123 123 0 -1 4194304 100 0 0 0 15 y 0 0 20 0 1 0 0 0 0 0",
 	} {
-		if _, err := parseStat(123, raw); err == nil {
+		if _, err := parseStat(123, []byte(raw)); err == nil {
 			t.Errorf("parseStat(%q) should fail", raw)
 		}
 	}

@@ -166,6 +166,7 @@ func (r *Runner) Reconfigure(rc Reconfig) error {
 			st, err := r.readStat(pid)
 			if err != nil || st.State == 'Z' {
 				_ = r.sys.Cont(pid)
+				r.sys.Forget(pid)
 				r.health.vanished.Add(1)
 				r.errf("reconfig: baseline joining pid %d (err=%v)", pid, err)
 				continue

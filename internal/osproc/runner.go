@@ -227,6 +227,7 @@ func NewRunner(cfg Config, tasks []Task) (*Runner, error) {
 			st, err := r.readStat(pid)
 			if err != nil || st.State == 'Z' {
 				_ = r.sys.Cont(pid) // harmless if gone
+				r.sys.Forget(pid)
 				r.health.vanished.Add(1)
 				if err != nil {
 					r.errf("baseline pid %d at startup: %v", pid, err)
@@ -648,6 +649,7 @@ func (r *Runner) forgetTask(id core.TaskID) {
 		delete(r.known, pid)
 		delete(r.badSig, pid)
 		delete(r.badRead, pid)
+		r.sys.Forget(pid)
 	}
 	delete(r.targets, id)
 	delete(r.groups, id)
@@ -780,6 +782,7 @@ func (r *Runner) forgetPID(pid int) {
 	delete(r.suspended, pid)
 	delete(r.badSig, pid)
 	delete(r.badRead, pid)
+	r.sys.Forget(pid)
 }
 
 // dropPID removes a PID from all bookkeeping and from every task's
@@ -952,6 +955,7 @@ func (r *Runner) refresh(m map[core.TaskID][]int) {
 					// glitch the next refresh retries.
 					r.health.refreshErrors.Add(1)
 					r.errf("refresh: cannot baseline joining pid %d (err=%v)", pid, err)
+					r.sys.Forget(pid)
 					continue
 				}
 				r.known[pid] = pidState{cpu: bst.CPU, start: bst.Start}
@@ -1021,6 +1025,7 @@ func (r *Runner) prune() {
 	for pid := range r.known {
 		if !inUse[pid] {
 			delete(r.known, pid)
+			r.sys.Forget(pid)
 		}
 	}
 	for pid := range r.badSig {
@@ -1044,7 +1049,9 @@ const releaseAttempts = 8
 // automatically when Run returns (and when a panic unwinds out of Step);
 // call it directly if using Step. Idempotent: transient failures are
 // retried persistently, and ESRCH (the process died while suspended — it
-// can no longer be frozen) is not an error. Safe from any goroutine.
+// can no longer be frozen) is not an error. It also tells the Sys to
+// release what it holds for every known PID (RealSys's open stat files);
+// a Step after Release simply reopens them. Safe from any goroutine.
 func (r *Runner) Release() {
 	r.loopMu.Lock()
 	defer r.loopMu.Unlock()
@@ -1066,6 +1073,9 @@ func (r *Runner) releaseLocked() {
 			r.errf("release pid %d: %v", pid, err)
 		}
 		delete(r.suspended, pid)
+	}
+	for pid := range r.known {
+		r.sys.Forget(pid)
 	}
 }
 

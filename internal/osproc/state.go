@@ -156,11 +156,13 @@ func NewRunnerFromState(cfg Config, st RunnerState) (*Runner, error) {
 		for _, pr := range rec.PIDs {
 			pst, err := r.readStat(pr.PID)
 			if err != nil || pst.State == 'Z' {
+				r.sys.Forget(pr.PID)
 				r.health.vanished.Add(1)
 				r.errf("adopt pid %d: gone (err=%v)", pr.PID, err)
 				continue
 			}
 			if pst.Start != pr.Start {
+				r.sys.Forget(pr.PID)
 				r.health.reused.Add(1)
 				r.errf("adopt pid %d: recycled by the kernel (start %d -> %d); dropping without signalling",
 					pr.PID, pr.Start, pst.Start)
@@ -170,10 +172,12 @@ func NewRunnerFromState(cfg Config, st RunnerState) (*Runner, error) {
 				// The dead instance may have left it SIGSTOPped; a
 				// SIGCONT to a running process is harmless.
 				if !r.signal(pr.PID, false) {
+					r.sys.Forget(pr.PID)
 					continue
 				}
 			} else {
 				if !r.signal(pr.PID, true) {
+					r.sys.Forget(pr.PID)
 					continue
 				}
 				r.suspended[pr.PID] = true

@@ -13,6 +13,11 @@ type Sys interface {
 	// ReadStat returns the accounting snapshot for pid
 	// (/proc/<pid>/stat on Linux).
 	ReadStat(pid int) (Stat, error)
+	// Forget tells the surface the runner dropped pid's accounting
+	// baseline, so it may release anything it holds for pid (RealSys
+	// closes the PID's held stat file). It is never an error: a later
+	// ReadStat of the same PID simply starts afresh.
+	Forget(pid int)
 	// Stop suspends pid (SIGSTOP).
 	Stop(pid int) error
 	// Cont resumes pid (SIGCONT).
@@ -37,11 +42,16 @@ type Sys interface {
 	Sleep(d time.Duration)
 }
 
-// RealSys is the production Sys over /proc and kill(2).
+// RealSys is the production Sys over /proc and kill(2). The zero value is
+// ready to use: its stat files live in the process-wide statFiles table.
 type RealSys struct{}
 
-// ReadStat parses /proc/<pid>/stat.
-func (RealSys) ReadStat(pid int) (Stat, error) { return ReadStat(pid) }
+// ReadStat parses /proc/<pid>/stat with one pread on a file held open
+// across samples (see statFiles).
+func (RealSys) ReadStat(pid int) (Stat, error) { return readHeldStat(pid) }
+
+// Forget closes pid's held stat file.
+func (RealSys) Forget(pid int) { forgetStatFile(pid) }
 
 // Stop sends SIGSTOP.
 func (RealSys) Stop(pid int) error { return Stop(pid) }

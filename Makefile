@@ -42,25 +42,17 @@ short:
 #                overhead vs the 5%-of-quantum budget, and coordinator
 #                rebalance convergence vs the 12-round gate
 #                (BENCH_robustness.json)
-#   scale      — control-loop cost vs fleet size, seed loop vs O(due)
-#                loop, steady-state allocs per quantum, and the
-#                members-per-principal group-signaling axis; fails if
-#                the indexed loop regresses >20% against
-#                BENCH_scale_baseline.json, if steady-state allocs
-#                leave zero, if group signaling exceeds one syscall per
-#                principal flip, and (full runs) if the auditor gauges
-#                show <5x at N=1000 (BENCH_scale.json)
-# QUICK=1 trims iterations for CI.
+# QUICK=1 trims iterations for CI. The real-OS control-loop benchmark is
+# perfbench (BENCHMARK.json, perfbench/README.md).
 bench:
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) obs
 	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) robustness
-	$(GO) run ./cmd/alps-bench $(if $(QUICK),-quick) scale
 
-# Fast alloc-regression gate: the in-tree half of the scale benchmark's
-# allocs_per_quantum check. Runs without -race (race instrumentation
-# allocates on the hot path) and fails the moment a steady-state quantum
-# of the indexed loop heap-allocates at all, or a real /proc stat read
-# through RealSys allocates more than its Comm string.
+# Fast alloc-regression gate. Runs without -race (race instrumentation
+# allocates on the hot path) and fails if 1000 steady-state quanta of the
+# indexed loop over FaultSys (N=300 and N=5000) heap-allocate even once,
+# or if a real /proc stat read through RealSys allocates more than its
+# Comm string.
 alloc-gate:
 	$(GO) test -run 'TestSteadyStateZeroAllocs|TestRealReadStatAllocs' -count=1 ./internal/osproc/
 

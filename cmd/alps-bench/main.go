@@ -7,12 +7,16 @@
 //
 //	alps-bench [-quick] <experiment>
 //
-// Experiments: table1 table2 fig4 fig5 ablation fig6 fig7 table3 fig8
-// fig9 thresholds web baseline all
+// Paper experiments: table1 table2 fig4 fig5 ablation fig6 fig7 table3
+// fig8 fig9 thresholds web baseline; extensions: acctgran smp
+// portability servicelag; observability and robustness gates: obs
+// timeline fleettrace robustness; "all" runs every one. Run without an
+// argument for the list with descriptions.
 //
 // -quick trims cycle counts and sweep resolution for a fast smoke run;
 // the default parameters match the paper (200 cycles, 3 trials, full
-// sweeps) and take a few minutes in total.
+// sweeps) and take a few minutes in total. The real-OS control-loop
+// benchmark is perfbench (its own module under perfbench/).
 package main
 
 import (
@@ -54,7 +58,6 @@ var experiments = []experiment{
 	{"timeline", "aliasing-free audit windows on retained history: raw vs EWMA beat, sampler cost (merges into BENCH_obs.json)", runTimeline},
 	{"fleettrace", "fleet tracing smoke: coordsim fleet -> merged epoch-causal trace (writes TRACE_fleet.json)", runFleetTrace},
 	{"robustness", "checkpoint write latency and per-cycle overhead (writes BENCH_robustness.json)", runRobustness},
-	{"scale", "control-loop cost vs fleet size, reference vs O(due) loop (writes BENCH_scale.json)", runScale},
 }
 
 func main() {

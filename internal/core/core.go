@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"alps/internal/obs"
@@ -198,13 +199,12 @@ type Scheduler struct {
 	// due index (a timer wheel; nil on the reference path), the
 	// admission queue of tasks awaiting their first stage-3 visit, the
 	// prepared due batch with the tick it was prepared for (0 = none),
-	// and scratch slices for the index drain and stage 3's visit list.
+	// and a scratch slice for stage 3's visit list.
 	due         *dueWheel
 	admit       []TaskID
 	dueBatch    []TaskID
 	duePrepared int64
 	visit       []TaskID
-	drainBuf    []dueEntry
 
 	// Decision scratch, reused across ticks so the steady-state quantum
 	// loop allocates nothing (see the Decision ownership contract).
@@ -334,7 +334,31 @@ func (s *Scheduler) Add(id TaskID, share int64) error {
 	}
 	s.totalShares += share
 	s.cycleTime += grant
+	s.reserveScratch()
 	return nil
+}
+
+// reserveScratch sizes the per-quantum scratch slices for one entry per
+// registered task, which bounds each of them. Growing them here, as
+// tasks arrive, keeps the growth out of the quantum loop: otherwise
+// each would grow whenever a quantum's batch first exceeded its
+// largest so far, long after warmup.
+func (s *Scheduler) reserveScratch() {
+	n := len(s.tasks)
+	s.dueBatch = reserve(s.dueBatch, n)
+	s.visit = reserve(s.visit, n)
+	s.decResume = reserve(s.decResume, n)
+	s.decSuspend = reserve(s.decSuspend, n)
+	s.decMeasured = reserve(s.decMeasured, n)
+	s.decDead = reserve(s.decDead, n)
+}
+
+// reserve returns buf, grown if needed to a capacity of at least n.
+func reserve(buf []TaskID, n int) []TaskID {
+	if n > cap(buf) {
+		buf = slices.Grow(buf, n-len(buf))
+	}
+	return buf
 }
 
 // Remove deregisters a task, settling its allowance against the cycle

@@ -165,6 +165,7 @@ func (s *Scheduler) Restore(snap Snapshot) error {
 	s.cycleTime = snap.CycleTime
 	s.count = snap.Count
 	s.cycles = snap.Cycles
+	s.reserveScratch()
 	return nil
 }
 

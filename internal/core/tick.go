@@ -113,8 +113,7 @@ func (s *Scheduler) prepareDue(tick int64) {
 	if s.due.len() > 2*s.eligible+compactSlack {
 		s.compactDue(tick)
 	}
-	s.drainBuf = s.due.drain(tick, s.drainBuf[:0])
-	for _, e := range s.drainBuf {
+	for _, e := range s.due.drain(tick) {
 		t, live := s.tasks[e.id]
 		if !live || t.state != Eligible || t.update != e.wake || t.dueTick == tick {
 			continue // stale or duplicate entry

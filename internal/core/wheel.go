@@ -26,11 +26,11 @@ package core
 // by the caller's validation, and the scheduler compacts the whole
 // index when stales outnumber live entries (see compactDue).
 //
-// Ordering: a drain emits slot contents in insertion order, which is
-// NOT globally sorted. That is fine by construction — the scheduler
-// collects the whole due batch for a tick and sorts it by TaskID before
-// any measurement or event emission, so wheel order never reaches the
-// event stream.
+// Ordering: drain order is unspecified (lists are pushed and drained at
+// their heads) and NOT globally sorted. That is fine by construction:
+// the scheduler collects the whole due batch for a tick and sorts it by
+// TaskID before any measurement or event emission, so wheel order never
+// reaches the event stream.
 
 const (
 	wheelBits   = 6
@@ -45,33 +45,54 @@ func wheelSpan(l int) int64 { return 1 << (uint(l) * wheelBits) }
 // dueWheel is the stage-1 due-task index: a multiset of (wake tick,
 // task) entries with lazy invalidation, kept in a hierarchical timing
 // wheel.
+//
+// Memory: every list (each slot, past, over) is an intrusive singly
+// linked list threaded through one shared node arena, and drained nodes
+// go onto a free list. The arena therefore grows only to the largest
+// number of entries the wheel ever held at once; the scheduler bounds
+// that at O(eligible) by compaction. Per-slot slices would instead keep
+// each of the 3×64 slots at the largest capacity it ever needed, and
+// ratchet up allocations long after warmup.
 type dueWheel struct {
-	cur   int64 // next tick to drain; entries with wake < cur are in past
-	n     int
-	slots [wheelLevels][wheelSlots][]dueEntry
+	cur int64 // next tick to drain; entries with wake < cur are in past
+	n   int
+	// nodes is the entry arena; nodes[0] is a sentinel, so a list head
+	// or next link of 0 means "end of list".
+	nodes []wheelNode
+	free  int32 // head of the free-node list
+	slots [wheelLevels][wheelSlots]int32
 	// past holds entries pushed with an already-elapsed wake (re-armed
 	// prefetch batches, restores); the next drain empties it.
-	past []dueEntry
+	past int32
 	// over holds entries beyond the wheel horizon, re-homed by cascade
 	// every span(1) ticks.
-	over []dueEntry
+	over int32
+	// out is drain's result buffer. A drain returns at most the entries
+	// held, so it is kept at the arena's capacity and grows only when
+	// the arena does.
+	out []dueEntry
 }
 
-func newDueWheel() *dueWheel { return &dueWheel{} }
+// wheelNode is one arena slot: an entry and the arena index of the next
+// node in the same list.
+type wheelNode struct {
+	e    dueEntry
+	next int32
+}
+
+func newDueWheel() *dueWheel { return &dueWheel{nodes: make([]wheelNode, 1)} }
 
 // len returns the number of entries currently held (live + stale).
 func (w *dueWheel) len() int { return w.n }
 
 // reset empties the index and re-anchors it so that cur is the next
-// tick a drain will service (used by Restore and compaction).
+// tick a drain will service (used by Restore and compaction). The arena
+// keeps its capacity, so refilling it allocates nothing.
 func (w *dueWheel) reset(cur int64) {
-	for l := range w.slots {
-		for i := range w.slots[l] {
-			w.slots[l][i] = w.slots[l][i][:0]
-		}
-	}
-	w.past = w.past[:0]
-	w.over = w.over[:0]
+	w.nodes = w.nodes[:1]
+	w.free = 0
+	w.slots = [wheelLevels][wheelSlots]int32{}
+	w.past, w.over = 0, 0
 	w.cur = cur
 	w.n = 0
 }
@@ -80,42 +101,67 @@ func (w *dueWheel) reset(cur int64) {
 // are emitted by the next drain.
 func (w *dueWheel) push(e dueEntry) {
 	w.n++
-	d := e.wake - w.cur
-	if d < 0 {
-		w.past = append(w.past, e)
-		return
+	i := w.free
+	if i != 0 {
+		w.free = w.nodes[i].next
+	} else {
+		i = int32(len(w.nodes))
+		w.nodes = append(w.nodes, wheelNode{})
 	}
-	for l := 0; l < wheelLevels; l++ {
-		if d < wheelSpan(l+1) {
-			idx := (e.wake >> (uint(l) * wheelBits)) & wheelMask
-			w.slots[l][idx] = append(w.slots[l][idx], e)
-			return
-		}
-	}
-	w.over = append(w.over, e)
+	w.nodes[i].e = e
+	w.link(i)
 }
 
-// drain removes every entry whose wake is <= tick, appending them to buf
-// (in no particular order) and returning it. Ticks passed to successive
-// drains must not decrease except via reset.
-func (w *dueWheel) drain(tick int64, buf []dueEntry) []dueEntry {
-	if len(w.past) > 0 {
-		// Monotonic-tick contract: everything in past has wake < cur and
-		// cur-1 <= tick, so all of it is due.
-		buf = append(buf, w.past...)
-		w.n -= len(w.past)
-		w.past = w.past[:0]
-	}
-	for w.cur <= tick {
-		idx := w.cur & wheelMask
-		if es := w.slots[0][idx]; len(es) > 0 {
-			buf = append(buf, es...)
-			w.n -= len(es)
-			w.slots[0][idx] = es[:0]
+// link files node i at the head of the list its wake belongs in,
+// relative to the current cursor.
+func (w *dueWheel) link(i int32) {
+	head := &w.over
+	if d := w.nodes[i].e.wake - w.cur; d < 0 {
+		head = &w.past
+	} else {
+		for l := 0; l < wheelLevels; l++ {
+			if d < wheelSpan(l+1) {
+				head = &w.slots[l][(w.nodes[i].e.wake>>(uint(l)*wheelBits))&wheelMask]
+				break
+			}
 		}
+	}
+	w.nodes[i].next = *head
+	*head = i
+}
+
+// drain removes every entry whose wake is <= tick and returns them (in
+// no particular order). The returned slice is owned by the wheel and
+// valid until the next drain. Ticks passed to successive drains must
+// not decrease except via reset.
+func (w *dueWheel) drain(tick int64) []dueEntry {
+	if cap(w.out) < cap(w.nodes) {
+		w.out = make([]dueEntry, 0, cap(w.nodes))
+	}
+	// Monotonic-tick contract: everything in past has wake < cur and
+	// cur-1 <= tick, so all of it is due.
+	buf := w.emit(&w.past, w.out[:0])
+	for w.cur <= tick {
+		buf = w.emit(&w.slots[0][w.cur&wheelMask], buf)
 		w.cur++
 		w.cascade()
 	}
+	return buf
+}
+
+// emit appends the entries of the list at *head to buf, empties the
+// list and returns its nodes to the free list.
+func (w *dueWheel) emit(head *int32, buf []dueEntry) []dueEntry {
+	for i := *head; i != 0; {
+		nd := &w.nodes[i]
+		buf = append(buf, nd.e)
+		next := nd.next
+		nd.next = w.free
+		w.free = i
+		w.n--
+		i = next
+	}
+	*head = 0
 	return buf
 }
 
@@ -127,39 +173,24 @@ func (w *dueWheel) cascade() {
 	if w.cur&wheelMask != 0 {
 		return
 	}
-	w.flush(1)
+	w.relink(&w.slots[1][(w.cur>>wheelBits)&wheelMask])
 	if (w.cur>>wheelBits)&wheelMask != 0 {
 		return
 	}
-	w.flush(2)
-	if len(w.over) == 0 {
-		return
-	}
-	keep := w.over[:0]
-	for _, e := range w.over {
-		if e.wake-w.cur < wheelSpan(wheelLevels) {
-			w.n--
-			w.push(e)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	w.over = keep
+	w.relink(&w.slots[2][(w.cur>>(2*wheelBits))&wheelMask])
+	w.relink(&w.over)
 }
 
-// flush re-pushes the contents of level l's slot at the cursor into
-// lower levels. Every entry in the slot has a delta below span(l), so a
-// re-push always lands strictly below level l and never appends to the
-// slice being iterated.
-func (w *dueWheel) flush(l int) {
-	idx := (w.cur >> (uint(l) * wheelBits)) & wheelMask
-	es := w.slots[l][idx]
-	if len(es) == 0 {
-		return
-	}
-	w.slots[l][idx] = es[:0]
-	for _, e := range es {
-		w.n--
-		w.push(e)
+// relink empties the list at *head and re-files each of its nodes for
+// the current cursor. A higher-level slot at the cursor holds only
+// deltas below that level's span, so its nodes land strictly lower;
+// overflow nodes still beyond the horizon land back in over.
+func (w *dueWheel) relink(head *int32) {
+	i := *head
+	*head = 0
+	for i != 0 {
+		next := w.nodes[i].next
+		w.link(i)
+		i = next
 	}
 }

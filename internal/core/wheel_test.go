@@ -35,7 +35,7 @@ func TestWheelSlotRollover(t *testing.T) {
 	var got []dueEntry
 	var buf []dueEntry
 	for tick := int64(1); tick <= 5000; tick++ {
-		buf = w.drain(tick, buf[:0])
+		buf = w.drain(tick)
 		for _, e := range buf {
 			if e.wake != tick {
 				t.Fatalf("entry with wake %d drained at tick %d", e.wake, tick)
@@ -59,16 +59,16 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	w.reset(0)
 	e := dueEntry{wake: wheelSpan(wheelLevels) + 123, id: 7}
 	w.push(e)
-	if len(w.over) != 1 {
-		t.Fatalf("far-future entry not in overflow (over=%d)", len(w.over))
+	if w.over == 0 {
+		t.Fatal("far-future entry not in overflow")
 	}
-	if got := w.drain(e.wake-1, nil); len(got) != 0 {
+	if got := w.drain(e.wake - 1); len(got) != 0 {
 		t.Fatalf("emitted before wake: %+v", got)
 	}
-	if len(w.over) != 0 {
+	if w.over != 0 {
 		t.Fatalf("entry not re-homed out of overflow after cursor advanced within horizon")
 	}
-	got := w.drain(e.wake, nil)
+	got := w.drain(e.wake)
 	if !reflect.DeepEqual(got, []dueEntry{e}) {
 		t.Fatalf("drain(%d) = %+v, want exactly the overflow entry", e.wake, got)
 	}
@@ -83,12 +83,12 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 func TestWheelPastBucket(t *testing.T) {
 	w := newDueWheel()
 	w.reset(0)
-	w.drain(100, nil) // cursor now at 101
+	w.drain(100) // cursor now at 101
 	es := []dueEntry{{wake: 5, id: 1}, {wake: 100, id: 2}}
 	for _, e := range es {
 		w.push(e)
 	}
-	got := w.drain(101, nil)
+	got := w.drain(101)
 	sortEntries(got)
 	if !reflect.DeepEqual(got, es) {
 		t.Fatalf("past-bucket drain = %+v, want %+v", got, es)
@@ -100,7 +100,7 @@ func TestWheelPastBucket(t *testing.T) {
 func TestWheelReset(t *testing.T) {
 	w := newDueWheel()
 	w.reset(0)
-	w.drain(50, nil)
+	w.drain(50)
 	for _, wk := range []int64{3, 60, 70, 5000, wheelSpan(wheelLevels) + 9} {
 		w.push(dueEntry{wake: wk, id: TaskID(wk)})
 	}
@@ -108,13 +108,40 @@ func TestWheelReset(t *testing.T) {
 	if w.len() != 0 {
 		t.Fatalf("len %d after reset", w.len())
 	}
-	if got := w.drain(1<<20, nil); len(got) != 0 {
+	if got := w.drain(1 << 20); len(got) != 0 {
 		t.Fatalf("drain after reset emitted %+v", got)
 	}
 	w.push(dueEntry{wake: 900, id: 1}) // before the new anchor: past bucket
 	w.push(dueEntry{wake: 1 << 21, id: 2})
-	if got := w.drain(1<<21, nil); len(got) != 2 {
+	if got := w.drain(1 << 21); len(got) != 2 {
 		t.Fatalf("post-reset pushes: drained %d of 2", len(got))
+	}
+}
+
+// TestWheelMemoryBoundedByEntries: the wheel's storage tracks the most
+// entries it ever held at once, not the history of which slots they
+// passed through. A steady population of 100 entries, re-pushed at
+// random distances as each drains, sweeps every slot of every level
+// over 20000 ticks; the arena must never exceed the population.
+func TestWheelMemoryBoundedByEntries(t *testing.T) {
+	const live = 100
+	rng := rand.New(rand.NewSource(1))
+	w := newDueWheel()
+	w.reset(1)
+	for i := 0; i < live; i++ {
+		w.push(dueEntry{wake: 1 + int64(rng.Intn(int(wheelSpan(2)))), id: TaskID(i)})
+	}
+	for tick := int64(1); tick <= 20000; tick++ {
+		for _, e := range w.drain(tick) {
+			e.wake = tick + 1 + int64(rng.Intn(int(wheelSpan(2))))
+			w.push(e)
+		}
+		if w.len() != live {
+			t.Fatalf("tick %d: wheel holds %d entries, want %d", tick, w.len(), live)
+		}
+	}
+	if got := len(w.nodes) - 1; got > live {
+		t.Errorf("arena grew to %d nodes for at most %d entries held", got, live)
 	}
 }
 
@@ -236,7 +263,7 @@ func FuzzWheel(f *testing.F) {
 				} else {
 					tick += int64(rng.Intn(4))
 				}
-				buf = w.drain(tick, buf[:0])
+				buf = w.drain(tick)
 				want = want[:0]
 				keep := model[:0]
 				for _, e := range model {

@@ -6,64 +6,76 @@
 package osproc
 
 import (
+	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"alps/internal/core"
 )
 
-// TestSteadyStateZeroAllocs is the in-tree half of the alloc-regression
-// gate (`alps-bench scale` measures the same thing over the full
-// sweep): after warmup, one quantum of the indexed loop — scheduler
-// tick, FaultSys reads, signal delivery, reconcile — must perform zero
-// heap allocations when no observer is attached. The median over the
-// window is asserted, not the max: the runtime itself (GC bookkeeping,
-// map growth amortization) may land a stray allocation inside any
-// single Step, and the median discards those without hiding a loop
-// that allocates every quantum.
+// TestSteadyStateZeroAllocs is the in-tree alloc-regression gate: after
+// warmup, the indexed loop — scheduler tick, FaultSys reads, signal
+// delivery, reconcile — must perform zero heap allocations when no
+// observer is attached. The total over the whole window is asserted, not
+// a per-Step median: a loop that allocates once every few hundred quanta
+// (a container ratcheting up its capacity) fails here. The sizes are a
+// mostly-idle fleet (one task in twenty running) at the scale the §4.2
+// argument is about.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	fs := NewFaultSys()
-	fs.Quiet = true
-	fs.SharedCPU = true
-	const n = 300
-	tasks := make([]Task, n)
-	for i := range tasks {
-		pid := 1000 + i
-		state := byte('S')
-		if i%20 == 0 {
-			state = 'R'
-		}
-		fs.AddProc(FaultProc{PID: pid, Start: uint64(pid), State: state})
-		tasks[i] = Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: []int{pid}}
-	}
-	q := 10 * time.Millisecond
-	r, err := NewRunner(Config{Quantum: q, Sys: fs}, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
+	for _, n := range []int{300, 5000} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			fs := NewFaultSys()
+			fs.Quiet = true
+			fs.SharedCPU = true
+			tasks := make([]Task, n)
+			for i := range tasks {
+				pid := 1000 + i
+				state := byte('S')
+				if i%20 == 0 {
+					state = 'R'
+				}
+				fs.AddProc(FaultProc{PID: pid, Start: uint64(pid), State: state})
+				tasks[i] = Task{ID: core.TaskID(i + 1), Share: int64(i%8) + 1, PIDs: []int{pid}}
+			}
+			q := 10 * time.Millisecond
+			r, err := NewRunner(Config{Quantum: q, Sys: fs}, tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Release()
 
-	for i := 0; i < 100; i++ {
-		fs.Advance(q)
-		r.Step()
-	}
-	const measure = 200
-	var before, after runtime.MemStats
-	samples := make([]float64, 0, measure)
-	for i := 0; i < measure; i++ {
-		fs.Advance(q)
-		runtime.ReadMemStats(&before)
-		r.Step()
-		runtime.ReadMemStats(&after)
-		samples = append(samples, float64(after.Mallocs-before.Mallocs))
-	}
-	sort.Float64s(samples)
-	if med := samples[len(samples)/2]; med != 0 {
-		t.Errorf("steady-state quantum allocates: median %.0f allocs/Step (p90 %.0f) over %d steps, want 0",
-			med, samples[len(samples)*9/10], measure)
+			for i := 0; i < 100; i++ {
+				fs.Advance(q)
+				r.Step()
+			}
+			// Only Step is bracketed: the fake's Advance is test
+			// scaffolding and allocates. Mallocs is process-wide, so the
+			// runtime's own allocations are kept out of the window: the
+			// collector is off (its workers and post-cycle cleanups
+			// allocate), and one P leaves ReadMemStats' restart of the
+			// world no idle P to start a new OS thread for, whose
+			// runtime structures would land in the bracket (the same
+			// reason testing.AllocsPerRun pins GOMAXPROCS to 1).
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			const measure = 1000
+			var before, after runtime.MemStats
+			var got uint64
+			for i := 0; i < measure; i++ {
+				fs.Advance(q)
+				runtime.ReadMemStats(&before)
+				r.Step()
+				runtime.ReadMemStats(&after)
+				got += after.Mallocs - before.Mallocs
+			}
+			if got != 0 {
+				t.Errorf("steady-state loop allocates: %d heap allocations over %d Steps, want 0", got, measure)
+			}
+		})
 	}
 }
 

@@ -188,21 +188,3 @@ func TestFanOutCoversAllItems(t *testing.T) {
 		}
 	}
 }
-
-// TestDisableIndexingForcesSequential: the benchmark baseline must not
-// accidentally profit from the pool or the amortized reconcile.
-func TestDisableIndexingForcesSequential(t *testing.T) {
-	fs := NewFaultSys()
-	fs.AddProc(FaultProc{PID: 400, Start: 1})
-	r := newFaultRunner(t, fs, Config{Samplers: 8, DisableIndexing: true}, []Task{
-		{ID: 1, Share: 1, PIDs: []int{400}},
-	})
-	defer r.Release()
-	if w := r.workers(); w != 1 {
-		t.Errorf("workers() = %d with DisableIndexing, want 1", w)
-	}
-	stepQuantum(fs, r)
-	if r.statCache != nil {
-		t.Error("prefetch ran despite DisableIndexing")
-	}
-}

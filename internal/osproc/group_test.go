@@ -1,6 +1,7 @@
 package osproc
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -40,43 +41,53 @@ func sigLogLines(fs *FaultSys, from int) (perPID, group int) {
 	return perPID, group
 }
 
-// TestGroupSignalingOneSyscallPerFlip is the bench gate's unit-level
-// twin: once the workload is adopted, every eligibility flip of a
-// group-owning principal is exactly one signal syscall, independent of
-// member count, and no per-PID stop/cont ever appears on the fast path.
+// TestGroupSignalingOneSyscallPerFlip: once the workload is adopted,
+// every eligibility flip of a group-owning principal is exactly one
+// signal syscall, independent of member count, and no per-PID stop/cont
+// ever appears on the fast path. Shapes: three 20-member principals at
+// uneven shares, and 50 principals × 100 members (5000 processes).
 func TestGroupSignalingOneSyscallPerFlip(t *testing.T) {
-	fs := NewFaultSys()
-	fs.SharedCPU = true
-	log := obs.NewEventLog(0)
-	tasks := []Task{
-		addGroup(fs, 1, 1, 1000, 20),
-		addGroup(fs, 2, 2, 2000, 20),
-		addGroup(fs, 3, 5, 3000, 20),
-	}
-	r := newFaultRunner(t, fs, Config{Observer: log}, tasks)
-	base := fs.SignalSyscalls()
-	logMark := len(fs.Log)
-	for i := 0; i < 80; i++ {
-		stepQuantum(fs, r)
-	}
-	flips := len(core.TransitionsOf(log.Events()))
-	delta := fs.SignalSyscalls() - base
-	if flips == 0 {
-		t.Fatal("workload never flipped eligibility; test exercises nothing")
-	}
-	if delta != int64(flips) {
-		t.Errorf("signal syscalls = %d for %d eligibility flips, want exactly 1 per flip", delta, flips)
-	}
-	perPID, group := sigLogLines(fs, logMark)
-	if perPID != 0 {
-		t.Errorf("%d per-PID signals on the steady-state path, want 0 (group kills only)", perPID)
-	}
-	if group == 0 {
-		t.Error("no group kills logged despite verified process groups")
-	}
-	r.Release()
-	if got := fs.StoppedPIDs(); len(got) != 0 {
-		t.Errorf("PIDs left frozen after release: %v", got)
+	for _, shape := range []struct {
+		principals, members int
+		share               func(i int) int64
+	}{
+		{3, 20, func(i int) int64 { return []int64{1, 2, 5}[i] }},
+		{50, 100, func(i int) int64 { return int64(i%8) + 1 }},
+	} {
+		t.Run(fmt.Sprintf("%dx%d", shape.principals, shape.members), func(t *testing.T) {
+			fs := NewFaultSys()
+			fs.SharedCPU = true
+			log := obs.NewEventLog(0)
+			var tasks []Task
+			for i := 0; i < shape.principals; i++ {
+				tasks = append(tasks, addGroup(fs, core.TaskID(i+1), shape.share(i), 1000*(i+1), shape.members))
+			}
+			r := newFaultRunner(t, fs, Config{Observer: log}, tasks)
+			base := fs.SignalSyscalls()
+			logMark := len(fs.Log)
+			for i := 0; i < 80; i++ {
+				stepQuantum(fs, r)
+			}
+			flips := len(core.TransitionsOf(log.Events()))
+			delta := fs.SignalSyscalls() - base
+			if flips == 0 {
+				t.Fatal("workload never flipped eligibility; test exercises nothing")
+			}
+			if delta != int64(flips) {
+				t.Errorf("signal syscalls = %d for %d eligibility flips, want exactly 1 per flip", delta, flips)
+			}
+			perPID, group := sigLogLines(fs, logMark)
+			if perPID != 0 {
+				t.Errorf("%d per-PID signals on the steady-state path, want 0 (group kills only)", perPID)
+			}
+			if group == 0 {
+				t.Error("no group kills logged despite verified process groups")
+			}
+			r.Release()
+			if got := fs.StoppedPIDs(); len(got) != 0 {
+				t.Errorf("PIDs left frozen after release: %v", got)
+			}
+		})
 	}
 }
 

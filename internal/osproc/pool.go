@@ -48,10 +48,9 @@ func fanOut(workers, n int, fn func(int)) {
 }
 
 // workers returns the effective sampler-pool width: Config.Samplers,
-// floored at 1, and forced to 1 when DisableIndexing asks for the fully
-// sequential seed loop.
+// floored at 1.
 func (r *Runner) workers() int {
-	if r.cfg.DisableIndexing || r.cfg.Samplers <= 1 {
+	if r.cfg.Samplers <= 1 {
 		return 1
 	}
 	return r.cfg.Samplers

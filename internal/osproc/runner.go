@@ -45,12 +45,6 @@ type Config struct {
 	// calls, and results are merged on the loop goroutine in decision
 	// order.
 	Samplers int
-	// DisableIndexing forces the seed control loop: the core scheduler's
-	// reference O(N)-per-quantum path, an eligibility reconciliation
-	// sweep on every quantum, and strictly sequential sampling and
-	// signalling regardless of Samplers. It exists as the baseline the
-	// §4.2 scale benchmark measures the optimized loop against.
-	DisableIndexing bool
 	// OnCycle receives per-cycle consumption records.
 	OnCycle func(core.CycleRecord)
 	// RefreshEvery re-resolves task membership that often via Refresh.
@@ -155,6 +149,8 @@ type Runner struct {
 	sigOps     []sigOp
 	sigResults []sigResult
 
+	// suspended[pid] is true while the runner holds pid SIGSTOPped; a
+	// false entry is a PID it has since resumed (see markSuspended).
 	suspended map[int]bool
 	ticks     int64
 	lastRef   time.Time
@@ -305,7 +301,6 @@ func newRunnerSkeleton(cfg Config) *Runner {
 	r.sched = core.New(core.Config{
 		Quantum:             cfg.Quantum,
 		DisableLazySampling: cfg.DisableLazySampling,
-		DisableIndexing:     cfg.DisableIndexing,
 		OnCycle:             cfg.OnCycle,
 		Observer:            r.tracer,
 	})
@@ -572,12 +567,12 @@ func (r *Runner) settleOp(op sigOp, res sigResult) {
 }
 
 // markSuspended records a delivered signal's effect on the suspended map.
+// A resume stores false rather than deleting the entry: a Go map that
+// churns inserts and deletes keeps rehashing into larger tables, so
+// toggling the value keeps the steady-state loop allocation-free.
+// Entries leave with their PID (forgetPID, forgetTask, prune).
 func (r *Runner) markSuspended(pid int, stop bool) {
-	if stop {
-		r.suspended[pid] = true
-	} else {
-		delete(r.suspended, pid)
-	}
+	r.suspended[pid] = stop
 }
 
 func sigName(stop bool) string {
@@ -592,12 +587,11 @@ func sigName(stop bool) string {
 // disagreeing with eligibility (needReconcile: failed signals, refresh,
 // reconfig, restore), strikes are outstanding, eligibility moved en masse
 // (a cycle grant) or membership changed (deaths) — plus a low-frequency
-// safety-net sweep, and every quantum when DisableIndexing asks for the
-// seed loop. The sweep itself was the runner's last O(N)-per-quantum
-// component after the core went O(due).
+// safety-net sweep. The sweep itself was the runner's last
+// O(N)-per-quantum component after the core went O(due).
 func (r *Runner) maybeReconcile(dec core.Decision) {
 	const reconcileEvery = 16
-	if r.cfg.DisableIndexing || r.needReconcile ||
+	if r.needReconcile ||
 		dec.CycleCompleted || len(dec.Dead) > 0 ||
 		len(r.badSig) > 0 || len(r.badRead) > 0 ||
 		r.ticks%reconcileEvery == 0 {
@@ -624,11 +618,11 @@ func (r *Runner) reconcile() {
 		for _, pid := range r.targets[id] {
 			if st == core.Eligible && r.suspended[pid] {
 				if r.signal(pid, false) {
-					delete(r.suspended, pid)
+					r.markSuspended(pid, false)
 				}
 			} else if st == core.Ineligible && !r.suspended[pid] {
 				if r.signal(pid, true) {
-					r.suspended[pid] = true
+					r.markSuspended(pid, true)
 				}
 			}
 		}
@@ -966,11 +960,11 @@ func (r *Runner) refresh(m map[core.TaskID][]int) {
 				// moving between tasks of different states).
 				if st == core.Ineligible && !r.suspended[pid] {
 					if r.signal(pid, true) {
-						r.suspended[pid] = true
+						r.markSuspended(pid, true)
 					}
 				} else if st == core.Eligible && r.suspended[pid] {
 					if r.signal(pid, false) {
-						delete(r.suspended, pid)
+						r.markSuspended(pid, false)
 					}
 				}
 				if _, ok := r.known[pid]; !ok {
@@ -1013,12 +1007,14 @@ func (r *Runner) prune() {
 			inUse[pid] = true
 		}
 	}
-	for pid := range r.suspended {
+	for pid, stopped := range r.suspended {
 		if inUse[pid] {
 			continue
 		}
-		if err := r.sys.Cont(pid); err != nil && classify(err) != errGone {
-			r.errf("release departed pid %d: %v", pid, err)
+		if stopped {
+			if err := r.sys.Cont(pid); err != nil && classify(err) != errGone {
+				r.errf("release departed pid %d: %v", pid, err)
+			}
 		}
 		delete(r.suspended, pid)
 	}
@@ -1061,7 +1057,11 @@ func (r *Runner) Release() {
 // releaseLocked is Release's body, for callers already holding loopMu
 // (notably Step's panic path, which would deadlock calling Release).
 func (r *Runner) releaseLocked() {
-	for pid := range r.suspended {
+	for pid, stopped := range r.suspended {
+		delete(r.suspended, pid)
+		if !stopped {
+			continue
+		}
 		var err error
 		for attempt := 1; attempt <= releaseAttempts; attempt++ {
 			if err = r.sys.Cont(pid); err == nil || classify(err) != errTransient {
@@ -1072,7 +1072,6 @@ func (r *Runner) releaseLocked() {
 		if err != nil && classify(err) != errGone {
 			r.errf("release pid %d: %v", pid, err)
 		}
-		delete(r.suspended, pid)
 	}
 	for pid := range r.known {
 		r.sys.Forget(pid)

@@ -76,8 +76,10 @@ func (r *Runner) stateLocked() RunnerState {
 		}
 		st.Tasks = append(st.Tasks, rec)
 	}
-	for pid := range r.suspended {
-		st.Suspended = append(st.Suspended, pid)
+	for pid, stopped := range r.suspended {
+		if stopped {
+			st.Suspended = append(st.Suspended, pid)
+		}
 	}
 	sort.Ints(st.Suspended)
 	return st

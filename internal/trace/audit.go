@@ -2,9 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"alps/internal/core"
 	"alps/internal/metrics"
@@ -64,7 +62,12 @@ type cycleSample struct {
 //   - convergence time, in cycles, after a disturbance (start,
 //     Reconfigure, or restart via MarkDisturbance);
 //   - the §3.2 sampling-reduction ratio: the fraction of potential
-//     per-quantum measurements that lazy sampling avoided.
+//     per-quantum measurements that lazy sampling avoided;
+//   - an EWMA over the windowed RMS and the window beat ratio, which
+//     expose a window aliasing against a duty cycle.
+//
+// The control loop's own cost is not the auditor's to measure: the
+// runner's alps_runner_*_duration_seconds histograms time its phases.
 type Auditor struct {
 	cfg AuditorConfig
 
@@ -78,23 +81,6 @@ type Auditor struct {
 	eligibleCount int
 	potential     int64 // current cycle: eligible tasks × quanta
 	measured      int64 // current cycle: measurements actually taken
-
-	// Control-loop work accounting (§4.2): per-quantum time spent in the
-	// sample/charge/decide/signal phases, reconstructed from the
-	// substrate-stamped phase markers. Sleep is excluded — it is the
-	// quantum's idle remainder, not work. These gauges are how the scale
-	// benchmark proves the indexed loop beats the seed loop.
-	phaseBegan map[int]time.Duration // open phase → begin stamp
-	curWork    time.Duration         // current quantum's accumulated phase time
-	lastWork   time.Duration         // previous quantum's total
-	totalWork  time.Duration
-	loopTicks  int64
-	// workRing holds the most recent completed quanta's work for the
-	// median gauge: unlike the mean, the median is immune to the
-	// occasional quantum inflated by the OS descheduling the scheduler
-	// itself mid-phase.
-	workRing []time.Duration
-	workNext int
 
 	// Windowed results, recomputed at each cycle completion.
 	rms      float64
@@ -135,7 +121,6 @@ func NewAuditor(cfg AuditorConfig) *Auditor {
 		ring:            make([]cycleSample, cfg.Window),
 		eligible:        make(map[int64]bool),
 		perTask:         make(map[int64]float64),
-		phaseBegan:      make(map[int]time.Duration),
 		lastConvergence: -1,
 		registered:      make(map[int64]bool),
 	}
@@ -151,34 +136,6 @@ func (a *Auditor) Observe(e obs.Event) {
 	switch e.Kind {
 	case obs.KindQuantumStart:
 		a.potential += int64(a.eligibleCount)
-		// The previous quantum's work bucket is complete: the signal
-		// phase (which follows QuantumEnd) has been stamped by now.
-		if a.loopTicks > 0 {
-			if len(a.workRing) < loopWorkRing {
-				a.workRing = append(a.workRing, a.curWork)
-			} else {
-				a.workRing[a.workNext] = a.curWork
-				a.workNext = (a.workNext + 1) % loopWorkRing
-			}
-		}
-		a.loopTicks++
-		a.lastWork = a.curWork
-		a.curWork = 0
-	case obs.KindPhaseBegin:
-		if obs.Phase(e.N) != obs.PhaseSleep {
-			a.phaseBegan[e.N] = e.At
-		}
-	case obs.KindPhaseEnd:
-		if obs.Phase(e.N) == obs.PhaseSleep {
-			break
-		}
-		if begin, ok := a.phaseBegan[e.N]; ok {
-			delete(a.phaseBegan, e.N)
-			if d := e.At - begin; d > 0 {
-				a.curWork += d
-				a.totalWork += d
-			}
-		}
 	case obs.KindMeasure:
 		a.measured++
 	case obs.KindTransition:
@@ -456,56 +413,6 @@ func (a *Auditor) ratioLocked() float64 {
 	return r
 }
 
-// MeanLoopWork returns the average control-loop work per quantum —
-// the summed durations of the sample/charge/decide/signal phases
-// (sleep excluded), reconstructed from stamped phase events — or 0
-// before the first quantum. This is the §4.2 overhead figure the scale
-// benchmark compares across loop implementations.
-func (a *Auditor) MeanLoopWork() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.loopTicks == 0 {
-		return 0
-	}
-	return a.totalWork / time.Duration(a.loopTicks)
-}
-
-// LastLoopWork returns the most recent completed quantum's control-loop
-// work (0 until the second quantum begins).
-func (a *Auditor) LastLoopWork() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastWork
-}
-
-// loopWorkRing bounds the median window (in quanta).
-const loopWorkRing = 4096
-
-// MedianLoopWork returns the median per-quantum control-loop work over
-// the last loopWorkRing completed quanta. The scale benchmark's ≥5×
-// indexed-vs-seed gate uses this rather than the mean: a quantum during
-// which the host descheduled the scheduler itself carries tens of
-// milliseconds of wall time inside the phase brackets, and one such
-// quantum would dominate a mean.
-func (a *Auditor) MedianLoopWork() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.workRing) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(a.workRing))
-	copy(sorted, a.workRing)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
-}
-
-// LoopTicks returns the number of quanta observed.
-func (a *Auditor) LoopTicks() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.loopTicks
-}
-
 // Drifting reports whether the windowed RMS error currently exceeds the
 // drift threshold.
 func (a *Auditor) Drifting() bool {
@@ -549,18 +456,6 @@ func (a *Auditor) Register(reg *obs.Registry) {
 	reg.CounterFunc("alps_audit_disturbances_total",
 		"Convergence-clock resets observed (start counts as the first).",
 		func() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.disturbances })
-	reg.GaugeFunc("alps_audit_loop_work_avg_seconds",
-		"Average per-quantum control-loop work (sample+charge+decide+signal, sleep excluded) from stamped phase events (§4.2).",
-		func() float64 { return a.MeanLoopWork().Seconds() })
-	reg.GaugeFunc("alps_audit_loop_work_p50_seconds",
-		"Median per-quantum control-loop work over the recent window (robust to host descheduling).",
-		func() float64 { return a.MedianLoopWork().Seconds() })
-	reg.GaugeFunc("alps_audit_loop_work_last_seconds",
-		"Control-loop work of the most recent completed quantum.",
-		func() float64 { return a.LastLoopWork().Seconds() })
-	reg.GaugeFunc("alps_audit_loop_ticks",
-		"Quanta observed by the auditor.",
-		func() float64 { return float64(a.LoopTicks()) })
 }
 
 var _ obs.Observer = (*Auditor)(nil)

@@ -185,65 +185,6 @@ func TestAuditorRegister(t *testing.T) {
 	}
 }
 
-// TestAuditorLoopWork reconstructs the §4.2 per-quantum control-loop
-// work from stamped phase events: phase durations sum, sleep is
-// excluded, and the average divides by observed quanta.
-func TestAuditorLoopWork(t *testing.T) {
-	a := NewAuditor(AuditorConfig{})
-	if got := a.MeanLoopWork(); got != 0 {
-		t.Errorf("MeanLoopWork before any quantum = %v, want 0", got)
-	}
-	phase := func(p obs.Phase, begin, end time.Duration) {
-		a.Observe(obs.Event{Kind: obs.KindPhaseBegin, Task: -1, N: int(p), At: begin})
-		a.Observe(obs.Event{Kind: obs.KindPhaseEnd, Task: -1, N: int(p), At: end})
-	}
-	// Quantum 1: 1ms sample + 2ms decide + 3ms signal = 6ms work; the
-	// 94ms sleep must not count.
-	a.Observe(obs.Event{Kind: obs.KindQuantumStart, Tick: 1})
-	phase(obs.PhaseSample, 0, time.Millisecond)
-	phase(obs.PhaseDecide, time.Millisecond, 3*time.Millisecond)
-	phase(obs.PhaseSignal, 3*time.Millisecond, 6*time.Millisecond)
-	phase(obs.PhaseSleep, 6*time.Millisecond, 100*time.Millisecond)
-	// Quantum 2: 2ms of work.
-	a.Observe(obs.Event{Kind: obs.KindQuantumStart, Tick: 2})
-	phase(obs.PhaseSample, 100*time.Millisecond, 102*time.Millisecond)
-	phase(obs.PhaseSleep, 102*time.Millisecond, 200*time.Millisecond)
-	a.Observe(obs.Event{Kind: obs.KindQuantumStart, Tick: 3})
-
-	if got, want := a.MeanLoopWork(), (6*time.Millisecond+2*time.Millisecond)/3; got != want {
-		t.Errorf("MeanLoopWork = %v, want %v", got, want)
-	}
-	if got, want := a.LastLoopWork(), 2*time.Millisecond; got != want {
-		t.Errorf("LastLoopWork = %v, want %v", got, want)
-	}
-	if got := a.LoopTicks(); got != 3 {
-		t.Errorf("LoopTicks = %v, want 3", got)
-	}
-	// Ring holds the two completed quanta {6ms, 2ms}; median of an even
-	// window takes the upper middle.
-	if got, want := a.MedianLoopWork(), 6*time.Millisecond; got != want {
-		t.Errorf("MedianLoopWork = %v, want %v", got, want)
-	}
-
-	reg := obs.NewRegistry()
-	a.Register(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"alps_audit_loop_work_avg_seconds",
-		"alps_audit_loop_work_p50_seconds 0.006",
-		"alps_audit_loop_work_last_seconds 0.002",
-		"alps_audit_loop_ticks 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestAuditorDeadTaskDropsFromWindow: a task that disappears stops
 // contributing to the windowed error once it leaves the newest cycle.
 func TestAuditorDeadTaskDropsFromWindow(t *testing.T) {
